@@ -87,14 +87,13 @@ class NeighborGraph:
     def n(self) -> int:
         return self.neighbors.shape[0]
 
-    def undirected_adjacency(self) -> list[set[int]]:
-        """Symmetrized edge set as per-node neighbor sets."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i in range(self.n):
-            for j in self.neighbors[i]:
-                adj[i].add(int(j))
-                adj[int(j)].add(i)
-        return adj
+
+def _encode(codes) -> tuple[list, np.ndarray]:
+    """Group names in first-appearance order and each cell's group index."""
+    codes = np.asarray(codes).tolist()
+    groups = list(dict.fromkeys(codes))
+    index = {g: i for i, g in enumerate(groups)}
+    return groups, np.array([index[c] for c in codes], dtype=np.intp)
 
 
 def _row_block_size(n: int) -> int:
@@ -102,18 +101,77 @@ def _row_block_size(n: int) -> int:
     return max(32, min(n, (1 << 23) // max(n, 1)))
 
 
-def _sq_dist_block(block: np.ndarray, values: np.ndarray, sq: np.ndarray,
-                   sq_block: np.ndarray) -> np.ndarray:
-    d2 = sq_block[:, None] + sq[None, :] - 2.0 * block @ values.T
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _distance_sweep(values, k: int | None, codes):
+    """The one blocked pass over all pairwise Euclidean distances.
 
-
-def _pairwise_sq_dists(values: np.ndarray) -> np.ndarray:
+    Returns ``(neighbors, silhouette)``: the (N, k) nearest-neighbor lists,
+    self excluded and ties broken by the lower row index, when ``k`` is
+    given, and the per-cell silhouette of the grouping ``codes`` when those
+    are given; the entry not asked for is None. Each block of rows has its
+    squared distances built once, into reused buffers, and feeds both.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    neighbors = sums = None
+    if k is not None:
+        if k < 1:
+            raise ValidationError("k must be >= 1")
+        if k >= n:
+            raise ValidationError(f"k = {k} must be smaller than the cell count {n}")
+        neighbors = np.empty((n, k), dtype=np.intp)
+    if codes is not None:
+        groups, coded = _encode(codes)
+        if len(groups) < 2:
+            raise ValidationError("silhouette needs at least two groups")
+        onehot = np.zeros((n, len(groups)))
+        onehot[np.arange(n), coded] = 1.0
+        sums = np.empty((n, len(groups)))  # total distance from each cell to each group
     sq = np.sum(values * values, axis=1)
-    d2 = _sq_dist_block(values, values, sq, sq)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    step = _row_block_size(n)
+    gram = np.empty((min(step, n), n))
+    d2_buf = np.empty_like(gram)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        # (|x|^2 + |y|^2) - (2x) @ y.T, rounded exactly as the unbuffered form
+        g = np.matmul(2.0 * values[start:stop], values.T, out=gram[:stop - start])
+        d2 = d2_buf[:stop - start]
+        for lo in range(start, stop, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, stop)
+            own = (np.arange(hi - lo), np.arange(lo, hi))  # each row's self entry
+            chunk = np.add(sq[lo:hi, None], sq[None, :], out=d2[lo - start:hi - start])
+            np.subtract(chunk, g[lo - start:hi - start], out=chunk)
+            np.maximum(chunk, 0.0, out=chunk)
+            if neighbors is not None:
+                chunk[own] = np.inf
+                neighbors[lo:hi] = _nearest(chunk, k)
+            if sums is not None:
+                chunk[own] = 0.0
+                np.sqrt(chunk, out=chunk)
+        if sums is not None:
+            np.matmul(d2, onehot, out=sums[start:stop])
+    silhouette = None if sums is None else _silhouette_from_sums(sums, coded)
+    return neighbors, silhouette
+
+
+# rows finished at a time after a block's matmul: a chunk stays in cache from
+# assembly through selection and sqrt, and argpartition's (rows, N) index
+# array stays small enough to be reused from the heap
+_CHUNK_ROWS = 32
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest entries by (distance, index), as column indices."""
+    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dpart = np.take_along_axis(d2, part, axis=1)
+    nearest = np.take_along_axis(part, np.lexsort((part, dpart), axis=1), axis=1)
+    # partition picks arbitrarily among entries tied at the k-th distance;
+    # only rows with such a tie need the full candidate set
+    kth = dpart.max(axis=1)
+    tied = np.count_nonzero(d2 <= kth[:, None], axis=1) > k
+    for r in np.flatnonzero(tied):
+        cand = np.flatnonzero(d2[r] <= kth[r])
+        nearest[r] = cand[np.argsort(d2[r, cand], kind="stable")][:k]
+    return nearest
 
 
 def build_neighbor_graph(values, k: int) -> NeighborGraph:
@@ -122,30 +180,7 @@ def build_neighbor_graph(values, k: int) -> NeighborGraph:
     Distances are computed block by block, so memory stays bounded for
     large inputs.
     """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if k >= n:
-        raise ValidationError(f"k = {k} must be smaller than the cell count {n}")
-    sq = np.sum(values * values, axis=1)
-    neighbors = np.empty((n, k), dtype=np.intp)
-    step = _row_block_size(n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        d2 = _sq_dist_block(values[start:stop], values, sq, sq[start:stop])
-        for i in range(start, stop):
-            d2[i - start, i] = np.inf
-        # top-k via partition, then resolve boundary ties by lower index so the
-        # result matches a full stable sort exactly
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        rows = np.arange(stop - start)
-        kth = d2[rows[:, None], part].max(axis=1)
-        within = d2 <= kth[:, None]
-        for r in range(stop - start):
-            cand = np.flatnonzero(within[r])
-            order = cand[np.argsort(d2[r, cand], kind="stable")]
-            neighbors[start + r] = order[:k]
+    neighbors, _ = _distance_sweep(values, k, None)
     return NeighborGraph(k=k, neighbors=neighbors)
 
 
@@ -296,42 +331,33 @@ def ari(a, b) -> float:
 # ---------------------------------------------------------------------------
 # silhouettes
 
+def _silhouette_from_sums(sums: np.ndarray, coded: np.ndarray) -> np.ndarray:
+    """Per-cell silhouette from each cell's total distance to every group."""
+    n = len(coded)
+    rows = np.arange(n)
+    counts = np.bincount(coded, minlength=sums.shape[1]).astype(np.float64)
+    own = counts[coded]
+    scored = own > 1  # cells in singleton groups score 0
+    a = np.divide(sums[rows, coded], own - 1, out=np.zeros(n), where=scored)
+    means = sums / counts
+    means[rows, coded] = np.inf
+    b = means.min(axis=1)
+    m = np.maximum(a, b)
+    return np.divide(b - a, m, out=np.zeros(n), where=scored & (m != 0))
+
+
 def silhouette_samples(values, codes) -> np.ndarray:
     """Per-cell Euclidean silhouette; cells in singleton groups score 0."""
-    values = np.asarray(values, dtype=np.float64)
-    codes = np.asarray(codes)
-    groups = list(dict.fromkeys(codes.tolist()))
-    if len(groups) < 2:
-        raise ValidationError("silhouette needs at least two groups")
-    onehot = np.stack([(codes == g).astype(np.float64) for g in groups], axis=1)
-    counts = onehot.sum(axis=0)
-    n = len(codes)
-    sq = np.sum(values * values, axis=1)
-    sums = np.empty((n, len(groups)))  # total distance from each cell to each group
-    step = _row_block_size(n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        d2 = _sq_dist_block(values[start:stop], values, sq, sq[start:stop])
-        for i in range(start, stop):
-            d2[i - start, i] = 0.0
-        sums[start:stop] = np.sqrt(d2) @ onehot
-    own = np.argmax(onehot, axis=1)
-    s = np.zeros(n)
-    for i in range(n):
-        g = own[i]
-        if counts[g] <= 1:
-            continue
-        a = sums[i, g] / (counts[g] - 1)
-        b = min(sums[i, h] / counts[h] for h in range(len(groups)) if h != g)
-        m = max(a, b)
-        s[i] = 0.0 if m == 0 else (b - a) / m
-    return s
+    return _distance_sweep(values, None, codes)[1]
+
+
+def _rescaled_asw(s: np.ndarray) -> float:
+    return float((np.mean(s) + 1.0) / 2.0)
 
 
 def silhouette_label_asw(values, labels) -> float:
     """Cell-type silhouette rescaled to [0, 1] via (mean + 1) / 2."""
-    s = silhouette_samples(values, labels)
-    return float((np.mean(s) + 1.0) / 2.0)
+    return _rescaled_asw(silhouette_samples(values, labels))
 
 
 def silhouette_batch_asw(values, batches, labels) -> float:
@@ -375,18 +401,15 @@ def lisi(graph_or_values, codes, k: int | None = None) -> np.ndarray:
         if k is None:
             raise ValidationError("k is required when passing raw coordinates")
         graph = build_neighbor_graph(graph_or_values, k)
-    codes = np.asarray(codes)
-    groups = list(dict.fromkeys(codes.tolist()))
-    index = {g: i for i, g in enumerate(groups)}
-    coded = np.array([index[c] for c in codes.tolist()])
-    neigh_codes = coded[graph.neighbors]
-    k_eff = graph.neighbors.shape[1]
-    out = np.empty(graph.n)
-    for i in range(graph.n):
-        counts = np.bincount(neigh_codes[i], minlength=len(groups))
-        p = counts / k_eff
-        out[i] = 1.0 / np.sum(p * p)
-    return out
+    groups, coded = _encode(codes)
+    p = _neighbor_counts(graph, coded, len(groups)) / graph.neighbors.shape[1]
+    return 1.0 / np.sum(p * p, axis=1)
+
+
+def _neighbor_counts(graph: NeighborGraph, coded: np.ndarray, n_groups: int) -> np.ndarray:
+    """(N, n_groups) counts of each cell's k neighbors by group index."""
+    flat = coded[graph.neighbors] + n_groups * np.arange(graph.n)[:, None]
+    return np.bincount(flat.ravel(), minlength=graph.n * n_groups).reshape(graph.n, n_groups)
 
 
 def ilisi_score(mean_ilisi: float, n_batches: int) -> float:
@@ -461,14 +484,11 @@ def kbet_per_label(graph: NeighborGraph, batches, labels, alpha: float = 0.05) -
     of that label's test; neighbors from such batches do not enter the
     statistic. Labels containing a single batch score 1 by convention.
     """
-    batches = np.asarray(batches)
+    batch_order, bcoded = _encode(batches)
     labels = np.asarray(labels)
-    if len(dict.fromkeys(batches.tolist())) < 2:
+    if len(batch_order) < 2:
         raise ValidationError("kbet needs at least two batches")
-    batch_order = list(dict.fromkeys(batches.tolist()))
-    bindex = {b: i for i, b in enumerate(batch_order)}
-    bcoded = np.array([bindex[b] for b in batches.tolist()])
-    neigh = bcoded[graph.neighbors]
+    neighbor_counts = _neighbor_counts(graph, bcoded, len(batch_order))
 
     per_label = []
     for lab in dict.fromkeys(labels.tolist()):
@@ -480,19 +500,18 @@ def kbet_per_label(graph: NeighborGraph, batches, labels, alpha: float = 0.05) -
             continue
         pi = present[cats] / present[cats].sum()
         df = len(cats) - 1
-        accepted = 0
-        cells = np.flatnonzero(mask)
-        for i in cells:
-            counts = np.bincount(neigh[i], minlength=len(batch_order))[cats]
+        # the test depends only on the count vector, and few distinct ones occur
+        vectors, inverse = np.unique(neighbor_counts[mask][:, cats], axis=0,
+                                     return_inverse=True)
+        accepts = np.ones(len(vectors), dtype=bool)
+        for u, counts in enumerate(vectors):
             tot = counts.sum()
-            if tot == 0:
-                accepted += 1
+            if tot == 0:  # no neighbor from the label's batches: accepted
                 continue
             expected = pi * tot
             stat = float(np.sum((counts - expected) ** 2 / expected))
-            if chi2_sf(stat, df) >= alpha:
-                accepted += 1
-        per_label.append(accepted / len(cells))
+            accepts[u] = chi2_sf(stat, df) >= alpha
+        per_label.append(int(np.count_nonzero(accepts[inverse])) / len(inverse))
     return float(np.mean(per_label))
 
 
@@ -502,28 +521,32 @@ def kbet_per_label(graph: NeighborGraph, batches, labels, alpha: float = 0.05) -
 def graph_connectivity(graph: NeighborGraph, labels) -> float:
     """Average over labels of the largest-connected-component fraction of the
     label-induced subgraph on the symmetrized kNN edges."""
-    labels = np.asarray(labels)
-    adj = graph.undirected_adjacency()
-    scores = []
-    for lab in dict.fromkeys(labels.tolist()):
-        nodes = np.flatnonzero(labels == lab)
-        node_set = set(int(i) for i in nodes)
-        unvisited = set(node_set)
-        largest = 0
-        while unvisited:
-            start = unvisited.pop()
-            size = 1
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v in unvisited:
-                        unvisited.remove(v)
-                        stack.append(v)
-                        size += 1
-            largest = max(largest, size)
-        scores.append(largest / len(node_set))
-    return float(np.mean(scores))
+    groups, coded = _encode(labels)
+    src = np.repeat(np.arange(graph.n), graph.neighbors.shape[1])
+    dst = graph.neighbors.ravel()
+    same = coded[src] == coded[dst]
+    root = _component_roots(graph.n, src[same], dst[same])
+    size = np.bincount(root, minlength=graph.n)[root]  # each node's component size
+    largest = np.zeros(len(groups), dtype=np.intp)
+    np.maximum.at(largest, coded, size)
+    return float(np.mean(largest / np.bincount(coded)))
+
+
+def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Array union-find: a root node for each of n nodes, shared exactly by
+    the nodes that the undirected edges (src, dst) connect."""
+    parent = np.arange(n)
+    while True:
+        ru, rv = parent[src], parent[dst]
+        if np.array_equal(ru, rv):
+            return parent
+        # hook the larger root under the smaller, so no cycle can form
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:  # compress until every node points at its root
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +637,8 @@ def isolated_label_f1(batches, labels, clusters):
 def evaluate(emb: EmbeddingMatrix, meta: CellMetadata, subset: str = "full",
              knn_k: int = 15, seed: int = 0,
              kmeans_restarts: int = 10) -> MetricsReport:
-    """Build the kNN graph once, compute the active metric subset, aggregate.
+    """Sweep the pairwise distances once, compute the active metric subset,
+    aggregate.
 
     Cell-type labels are required. When the evaluated cells span a single
     batch, the batch-mixing metrics take their degenerate value 1.0 (there is
@@ -633,9 +657,16 @@ def evaluate(emb: EmbeddingMatrix, meta: CellMetadata, subset: str = "full",
     label_order = list(dict.fromkeys(labels.tolist()))
     n_types = len(label_order)
 
-    graph = None
+    # one distance sweep gives the kNN graph and the label silhouette together
+    k = None
     if wanted & {"clisi_score", "ilisi_score", "kbet_per_label", "graph_connectivity"}:
-        graph = build_neighbor_graph(values, min(knn_k, emb.n - 1))
+        k = min(knn_k, emb.n - 1)
+    label_codes = labels if "label_asw" in wanted and n_types >= 2 else None
+    graph = label_silhouette = None
+    if k is not None or label_codes is not None:
+        neighbors, label_silhouette = _distance_sweep(values, k, label_codes)
+        if k is not None:
+            graph = NeighborGraph(k=k, neighbors=neighbors)
 
     clusters = None
     if wanted & {"kmeans_nmi", "kmeans_ari", "isolated_f1"}:
@@ -656,7 +687,7 @@ def evaluate(emb: EmbeddingMatrix, meta: CellMetadata, subset: str = "full",
             elif metric == "label_asw":
                 if n_types < 2:
                     raise ValidationError("label silhouette needs at least two labels")
-                scores[metric] = silhouette_label_asw(values, labels)
+                scores[metric] = _rescaled_asw(label_silhouette)
             elif metric == "isolated_f1":
                 score, all_isolated = isolated_label_f1(batches, labels, clusters)
                 scores[metric] = score

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedfilm import CellMetadata, EmbeddingMatrix, aggregate_scores, evaluate
+from fedfilm import CellMetadata, EmbeddingMatrix, aggregate_scores, evaluate, metrics
 from fedfilm.core import ValidationError
 from fedfilm.metrics import (
     MetricsReport,
@@ -215,6 +215,49 @@ def test_neighbor_graph_invariants():
     assert [list(r) for r in graph.neighbors] == expected
 
 
+def integer_points(seed, n, d, hi):
+    # small integer coordinates: every distance is computed exactly, and many
+    # rows have several points at their k-th distance
+    return np.random.default_rng(seed).integers(0, hi, (n, d)).astype(np.float64)
+
+
+def exact_sq_dists(values, rows):
+    d2 = ((values[rows, None, :] - values[None, :, :]) ** 2).sum(axis=2)
+    d2[np.arange(len(rows)), rows] = np.inf
+    return d2
+
+
+def test_neighbor_graph_ties_match_bruteforce():
+    for seed, n, d, hi in [(20, 15, 1, 6), (21, 24, 2, 4), (22, 30, 2, 5)]:
+        values = integer_points(seed, n, d, hi)
+        d2 = exact_sq_dists(values, np.arange(n))
+        for k in (1, 2, 4, 7, n - 1):
+            graph = build_neighbor_graph(values, k)
+            assert [list(r) for r in graph.neighbors] == slow_knn(values, k)
+        kth = np.sort(d2, axis=1)[:, 3]
+        assert np.any(np.sum(d2 <= kth[:, None], axis=1) > 4)  # ties at k = 4
+
+
+def test_neighbor_graph_ties_across_row_blocks():
+    # 3000 rows take two row blocks, the second one short
+    values = integer_points(23, 3000, 2, 30)
+    n = len(values)
+    for k in (1, 5, 15):
+        graph = build_neighbor_graph(values, k)
+        tied = untied = 0
+        for start in range(0, n, 500):
+            rows = np.arange(start, min(start + 500, n))
+            d2 = exact_sq_dists(values, rows)
+            index = np.broadcast_to(np.arange(n), d2.shape)
+            order = np.lexsort((index, d2), axis=1)
+            assert np.array_equal(graph.neighbors[rows], order[:, :k])
+            kth = np.take_along_axis(d2, order[:, k - 1:k], axis=1)
+            at_or_below = np.sum(d2 <= kth, axis=1)
+            tied += int(np.sum(at_or_below > k))
+            untied += int(np.sum(at_or_below == k))
+        assert tied > 0 and untied > 0
+
+
 # ---------------------------------------------------------------- kbet
 
 def test_chi2_sf_against_scipy():
@@ -250,6 +293,40 @@ def test_kbet_single_batch_neighborhoods_rejected():
     assert stat == 15.0 and chi2_sf(15.0, 1) < 1e-3
 
 
+def test_lisi_and_kbet_match_per_cell_loops():
+    from scipy.stats import chi2 as scipy_chi2
+    rng = np.random.default_rng(25)
+    n = 600
+    values = rng.standard_normal((n, 3))
+    batches = rng.choice(["a", "b", "c"], n, p=[0.5, 0.3, 0.2])
+    labels = rng.choice(["x", "y", "z"], n)
+    batches[(labels == "y") & (batches == "c")] = "b"  # 'y' lacks batch 'c'
+    batches[labels == "z"] = "a"  # 'z' holds one batch and scores 1
+    graph = build_neighbor_graph(values, 15)
+    nbrs = [list(r) for r in graph.neighbors]
+    assert np.allclose(lisi(graph, batches), slow_lisi(nbrs, batches.tolist()), atol=1e-12)
+
+    per_label = []
+    for lab in ("x", "y", "z"):
+        cells = np.flatnonzero(labels == lab)
+        cats = sorted(set(batches[cells].tolist()))
+        if len(cats) < 2:
+            per_label.append(1.0)
+            continue
+        pi = np.array([np.sum(batches[cells] == c) for c in cats]) / len(cells)
+        accepted = 0
+        for i in cells:
+            counts = np.array([sum(batches[j] == c for j in nbrs[i]) for c in cats])
+            if counts.sum() == 0:
+                accepted += 1
+                continue
+            expected = pi * counts.sum()
+            stat = np.sum((counts - expected) ** 2 / expected)
+            accepted += scipy_chi2.sf(stat, len(cats) - 1) >= 0.05
+        per_label.append(accepted / len(cells))
+    assert kbet_per_label(graph, batches, labels) == pytest.approx(np.mean(per_label), abs=1e-12)
+
+
 def test_kbet_single_batch_label_scores_one():
     # label 'solo' contains a single batch and contributes acceptance 1 by
     # convention; 'duo' is perfectly mixed, so the mean stays high
@@ -279,6 +356,21 @@ def test_graph_connectivity_examples():
     graph3 = build_neighbor_graph(values3, 1)
     # label x: nodes {0,1,2,6}; 6's neighbor is 5 (label y) -> component {6}
     assert graph_connectivity(graph3, labels3) == pytest.approx((0.75 + 1.0) / 2)
+
+
+def test_graph_connectivity_long_chains():
+    # a 1-nn graph on a shuffled line forms long chains, which an array
+    # union-find must merge over several rounds
+    rng = np.random.default_rng(26)
+    n = 400
+    positions = np.cumsum(rng.exponential(size=n))
+    perm = rng.permutation(n)
+    values = positions[perm][:, None]
+    labels = np.array(["a", "b", "c", "d"])[perm * 4 // n]
+    for k in (1, 2):
+        graph = build_neighbor_graph(values, k)
+        expected = slow_connectivity([list(r) for r in graph.neighbors], labels.tolist())
+        assert graph_connectivity(graph, labels) == pytest.approx(expected, abs=1e-12)
 
 
 def test_graph_connectivity_matches_union_find():
@@ -390,6 +482,59 @@ def eval_instance(seed=16, n=48):
     emb = EmbeddingMatrix(ids, values)
     meta = CellMetadata.from_columns(list(ids), batches.tolist(), types.tolist())
     return emb, meta
+
+
+def three_batch_instance(n, seed=24):
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"c{i}" for i in range(n))
+    types = rng.integers(0, 4, n)
+    batches = rng.integers(0, 3, n)
+    values = (rng.standard_normal((n, 6)) + 3.0 * rng.standard_normal((4, 6))[types]
+              + rng.standard_normal((3, 6))[batches])
+    emb = EmbeddingMatrix(ids, values)
+    meta = CellMetadata.from_columns(
+        list(ids), [f"b{b}" for b in batches], [f"t{t}" for t in types])
+    return emb, meta
+
+
+def test_evaluate_matches_standalone_metrics():
+    emb, meta = three_batch_instance(3000)
+    values = emb.values
+    batches = np.asarray(meta.batches_for(emb))
+    labels = np.asarray(meta.labels_for(emb))
+    report = evaluate(emb, meta, subset="full", knn_k=15, seed=0)
+    graph = build_neighbor_graph(values, 15)
+    clusters, _ = kmeans(values, 4, seed=0, restarts=10)
+    assert report.scores == {
+        "kmeans_nmi": nmi(clusters.tolist(), labels.tolist()),
+        "kmeans_ari": float(np.clip(ari(clusters.tolist(), labels.tolist()), 0.0, 1.0)),
+        "label_asw": silhouette_label_asw(values, labels),
+        "isolated_f1": isolated_label_f1(batches, labels, clusters)[0],
+        "clisi_score": clisi_score(float(np.mean(lisi(graph, labels))), 4),
+        "batch_asw": silhouette_batch_asw(values, batches, labels),
+        "ilisi_score": ilisi_score(float(np.mean(lisi(graph, batches))), 3),
+        "kbet_per_label": kbet_per_label(graph, batches, labels),
+        "graph_connectivity": graph_connectivity(graph, labels),
+        "pcr_score": pcr_score(values, batches),
+    }
+
+
+@pytest.mark.parametrize("subset", ["full", "scenario"])
+def test_evaluate_sweeps_all_distances_once(monkeypatch, subset):
+    emb, meta = three_batch_instance(600)
+    sizes = []
+    sweep = metrics._distance_sweep
+
+    def counting_sweep(values, k, codes):
+        sizes.append(len(values))
+        return sweep(values, k, codes)
+
+    monkeypatch.setattr(metrics, "_distance_sweep", counting_sweep)
+    evaluate(emb, meta, subset=subset, knn_k=15)
+    assert sizes.count(emb.n) == 1
+    # the other sweeps are the batch silhouettes within each label
+    _, label_sizes = np.unique(meta.labels_for(emb), return_counts=True)
+    assert sorted(sizes) == sorted(label_sizes.tolist() + [emb.n])
 
 
 def test_evaluate_overall_is_weighted_mean():
