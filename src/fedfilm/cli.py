@@ -60,7 +60,7 @@ def _add_config_flags(parser, *, training=True, metrics=True):
                          help="reconstruction target: each batch's own embedding "
                               "(self) or its embedding on the pooled moments (pooled)")
         grp.add_argument("--aggregation-mode", choices=["full-table", "row-restricted"])
-        grp.add_argument("--threads", type=int, help="worker cap, 0 = auto")
+        grp.add_argument("--threads", type=int, help="reserved worker cap, 0 = auto; unused")
     if metrics:
         grp.add_argument("--metric-subset", choices=sorted(METRIC_SUBSETS))
         grp.add_argument("--knn-k", type=int)
@@ -103,8 +103,7 @@ def _cmd_fit(args) -> int:
     init = fio.load_adapter(args.init_adapter) if args.init_adapter \
         else identity_adapter(meta.batch_names, emb.d)
     adapter, log = run_federated_fit(emb, meta, cfg.train, init,
-                                     mode=cfg.aggregation_mode,
-                                     threads=cfg.threads)
+                                     mode=cfg.aggregation_mode)
     fio.save_adapter(out / "adapter.json", adapter)
     fio.save_training_log(out / "training_log.csv", log)
     _finish(out, "fit", ["adapter.json", "training_log.csv"], cfg)
@@ -195,7 +194,7 @@ def _cmd_scenario(args) -> int:
         # precomputed embeddings: stages subset the fixed matrix, no re-embed
         plan = ScenarioPlan(mode=plan.mode, stages=plan.stages, pca_components=None)
     results = run_scenario(plan, data, meta, cfg.train, mode=cfg.aggregation_mode,
-                           threads=cfg.threads, knn_k=cfg.knn_k,
+                           knn_k=cfg.knn_k,
                            kmeans_restarts=cfg.kmeans_restarts,
                            metrics_seed=cfg.train.seed)
     artifacts = []

@@ -7,6 +7,8 @@ The adapter transform is a per-batch affine map in latent space:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,101 +71,135 @@ class EmbeddingMatrix:
 
     def rows_for(self, cell_ids) -> np.ndarray:
         """Row indices of the given cell ids, in the given order."""
-        index = {c: i for i, c in enumerate(self.cell_ids)}
-        try:
-            return np.array([index[c] for c in cell_ids], dtype=np.intp)
-        except KeyError as exc:
-            raise ValidationError(f"unknown cell id {exc.args[0]!r}") from None
+        return _positions(self.cell_ids, cell_ids, "unknown cell id {!r}")
 
     def subset(self, cell_ids) -> "EmbeddingMatrix":
         rows = self.rows_for(cell_ids)
         return EmbeddingMatrix(tuple(cell_ids), self.values[rows])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellMetadata:
-    """Per-cell batch assignment and optional cell-type label.
+    """Per-cell batch assignment and optional cell-type label, integer-coded.
 
-    ``batch_names`` is the canonical batch order: first appearance in the
-    cell order used at construction. All internal row indices derive from it.
+    ``batch_codes[i]`` indexes the batch of ``cell_ids[i]`` in ``batch_names``;
+    ``label_codes``/``label_names`` code cell types the same way, or are None.
+    ``batch_names`` is the canonical batch order (``from_columns`` numbers
+    groups by first appearance); all internal row indices derive from it.
     """
 
-    batch_of: dict[str, str]
-    label_of: dict[str, str] | None
+    cell_ids: tuple[str, ...]
+    batch_codes: np.ndarray
     batch_names: tuple[str, ...]
+    label_codes: np.ndarray | None = None
+    label_names: tuple[str, ...] | None = None
 
     @classmethod
     def from_columns(cls, cell_ids, batches, labels=None) -> "CellMetadata":
-        cell_ids = [str(c) for c in cell_ids]
-        batches = [str(b) for b in batches]
-        if len(cell_ids) != len(batches):
-            raise ValidationError("cell_ids and batches differ in length")
-        if len(set(cell_ids)) != len(cell_ids):
-            raise ValidationError("duplicate cell ids in metadata")
-        if not cell_ids:
-            raise ValidationError("metadata must cover at least one cell")
-        order: list[str] = []
-        seen = set()
-        for b in batches:
-            if b not in seen:
-                seen.add(b)
-                order.append(b)
-        batch_of = dict(zip(cell_ids, batches))
-        label_of = None
-        if labels is not None:
-            labels = [str(l) for l in labels]
-            if len(labels) != len(cell_ids):
-                raise ValidationError("labels must cover all cells")
-            label_of = dict(zip(cell_ids, labels))
-        return cls(batch_of=batch_of, label_of=label_of, batch_names=tuple(order))
+        cell_ids = tuple(map(str, cell_ids))
+
+        def encode(column, what):
+            column = np.array(list(map(str, column)), dtype=object)
+            if len(column) != len(cell_ids):
+                raise ValidationError(f"{what} must cover all cells")
+            return encode_groups(column)
+
+        batch_names, batch_codes = encode(batches, "batches")
+        label_names, label_codes = (None, None) if labels is None else encode(labels, "labels")
+        return cls(cell_ids, batch_codes, batch_names, label_codes, label_names)
 
     def __post_init__(self):
-        if not self.batch_of:
+        ids = tuple(self.cell_ids)
+        if not ids:
             raise ValidationError("metadata must cover at least one cell")
-        seen = set(self.batch_of.values())
-        if len(set(self.batch_names)) != len(self.batch_names):
-            raise ValidationError("batch_names contains duplicates")
-        if set(self.batch_names) != seen:
-            raise ValidationError("batch_names do not match batches in batch_of")
-        if self.label_of is not None and set(self.label_of) != set(self.batch_of):
-            raise ValidationError("label map must cover exactly the cells with batches")
+        if len(set(ids)) != len(ids):
+            raise ValidationError("duplicate cell ids in metadata")
+        object.__setattr__(self, "cell_ids", ids)
+        _set_codes(self, "batch")
+        if self.label_codes is not None or self.label_names is not None:
+            _set_codes(self, "label")
 
     @property
     def n_batches(self) -> int:
         return len(self.batch_names)
 
+    @cached_property
+    def batch_of(self) -> MappingProxyType:
+        """Read-only view cell id -> batch name, built on first access."""
+        names = items_at(self.batch_names, self.batch_codes)
+        return MappingProxyType(dict(zip(self.cell_ids, names)))
+
+    @cached_property
+    def label_of(self) -> MappingProxyType | None:
+        """Read-only view cell id -> cell type, or None without labels."""
+        if self.label_codes is None:
+            return None
+        names = items_at(self.label_names, self.label_codes)
+        return MappingProxyType(dict(zip(self.cell_ids, names)))
+
     def batch_sizes(self) -> dict[str, int]:
-        sizes = {b: 0 for b in self.batch_names}
-        for b in self.batch_of.values():
-            sizes[b] += 1
-        return sizes
+        return dict(zip(self.batch_names, np.bincount(self.batch_codes).tolist()))
+
+    def rows_for(self, cell_ids) -> np.ndarray:
+        """Metadata row of each given cell id, in the given order."""
+        return _positions(self.cell_ids, cell_ids, "cell {!r} has no batch assignment")
 
     def batches_for(self, emb: EmbeddingMatrix) -> list[str]:
         """Batch name per embedding row; every cell must be covered."""
-        out = []
-        for c in emb.cell_ids:
-            b = self.batch_of.get(c)
-            if b is None:
-                raise ValidationError(f"cell {c!r} has no batch assignment")
-            out.append(b)
-        return out
+        return items_at(self.batch_names, self.batch_codes[self.rows_for(emb.cell_ids)])
 
     def labels_for(self, emb: EmbeddingMatrix) -> list[str]:
-        if self.label_of is None:
+        if self.label_codes is None:
             raise ValidationError("metadata carries no cell-type labels")
-        return [self.label_of[c] for c in emb.cell_ids]
+        return items_at(self.label_names, self.label_codes[self.rows_for(emb.cell_ids)])
 
     def restricted_to(self, cell_ids) -> "CellMetadata":
-        """Sub-metadata for the given cells, with a fresh canonical batch order."""
-        batches = []
-        for c in cell_ids:
-            if c not in self.batch_of:
-                raise ValidationError(f"cell {c!r} has no batch assignment")
-            batches.append(self.batch_of[c])
+        """Sub-metadata for the given cells in the given order, with group
+        orders re-derived by first appearance among them."""
+        rows = self.rows_for(cell_ids)
         labels = None
-        if self.label_of is not None:
-            labels = [self.label_of[c] for c in cell_ids]
-        return CellMetadata.from_columns(list(cell_ids), batches, labels)
+        if self.label_codes is not None:
+            labels = items_at(self.label_names, self.label_codes[rows])
+        return CellMetadata.from_columns(items_at(self.cell_ids, rows),
+                                         items_at(self.batch_names, self.batch_codes[rows]),
+                                         labels)
+
+
+def encode_groups(values) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values in first-appearance order, and each value's code: the
+    index of its value in that order."""
+    uniq, first, inverse = np.unique(np.asarray(values), return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    return uniq[order], np.argsort(order)[inverse]  # argsort inverts a permutation
+
+
+def _set_codes(meta: CellMetadata, what: str):
+    """Check ``meta``'s ``<what>_codes`` against its ``<what>_names``: one
+    code per cell, names distinct and each in use; store both read-only."""
+    names = tuple(getattr(meta, f"{what}_names"))
+    codes = np.array(getattr(meta, f"{what}_codes"), dtype=np.intp)
+    if (len(set(names)) != len(names) or codes.shape != (len(meta.cell_ids),)
+            or not np.array_equal(np.unique(codes), np.arange(len(names)))):
+        raise ValidationError(f"{what} codes must give every cell one of the "
+                              f"{what} names, which must be distinct and all used")
+    codes.setflags(write=False)
+    object.__setattr__(meta, f"{what}_names", names)
+    object.__setattr__(meta, f"{what}_codes", codes)
+
+
+def items_at(seq, indices) -> list:
+    """The items of a sequence at the given indices (say, names at codes)."""
+    return np.array(seq, dtype=object)[indices].tolist()
+
+
+def _positions(ids, wanted, missing: str) -> np.ndarray:
+    """Index in ``ids`` of each wanted id; raises ``missing.format(id)``."""
+    index = dict(zip(ids, range(len(ids))))
+    try:
+        return np.fromiter(map(index.__getitem__, wanted), dtype=np.intp)
+    except KeyError as exc:
+        raise ValidationError(missing.format(exc.args[0])) from None
 
 
 @dataclass(frozen=True)
@@ -268,11 +304,8 @@ def identity_adapter(batch_names, d: int) -> FilmAdapter:
 
 def batch_row_indices(emb: EmbeddingMatrix, meta: CellMetadata) -> dict[str, np.ndarray]:
     """Embedding row indices per batch, in canonical batch order."""
-    batches = meta.batches_for(emb)
-    out: dict[str, list[int]] = {b: [] for b in meta.batch_names}
-    for i, b in enumerate(batches):
-        out[b].append(i)
-    return {b: np.array(rows, dtype=np.intp) for b, rows in out.items()}
+    codes = meta.batch_codes[meta.rows_for(emb.cell_ids)]
+    return {b: np.flatnonzero(codes == i) for i, b in enumerate(meta.batch_names)}
 
 
 def apply_adapter(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter) -> EmbeddingMatrix:
@@ -285,11 +318,9 @@ def apply_adapter(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter
         raise DimensionError(
             f"adapter dimension {adapter.d} does not match embedding dimension {emb.d}"
         )
-    batches = meta.batches_for(emb)
-    row_of = {b: i for i, b in enumerate(adapter.batch_names)}
-    try:
-        idx = np.array([row_of[b] for b in batches], dtype=np.intp)
-    except KeyError as exc:
-        raise MissingBatchError(f"batch {exc.args[0]!r} has no adapter row") from None
+    # batches present, by first appearance among the rows: the first without a row raises
+    present, codes = encode_groups(meta.batch_codes[meta.rows_for(emb.cell_ids)])
+    rows = [adapter.row_index(meta.batch_names[b]) for b in present]
+    idx = np.array(rows, dtype=np.intp)[codes]
     out = adapter.gamma[idx] * emb.values + adapter.beta[idx]
     return EmbeddingMatrix(emb.cell_ids, out)

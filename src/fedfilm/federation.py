@@ -2,16 +2,14 @@
 cumulative / continual dataset-evolution drivers.
 
 Every round broadcasts an immutable snapshot of the global adapter, runs all
-participating clients against it (optionally in parallel; the result does not
-depend on execution order) and folds the updated rows back together with
-sample-count-weighted averaging.
+participating clients against it one after another (each sees only the
+snapshot, so the result does not depend on their order) and folds the
+updated rows back together with sample-count-weighted averaging.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-import os
 
 import numpy as np
 
@@ -25,6 +23,7 @@ from .core import (
     apply_adapter,
     batch_row_indices,
     identity_adapter,
+    items_at,
 )
 from .objective import ClientState, TrainConfig, client_local_update, make_client_state
 
@@ -131,29 +130,15 @@ def pooled_targets(cell_blocks) -> dict:
     return targets
 
 
-def _run_clients(clients, blocks, snapshot, cfg, round_index, threads):
-    def work(item):
-        state, cells = item
-        return client_local_update(state, cells, snapshot, cfg, round_index)
-
-    items = [(state, blocks[state.batch_name]) for state in clients]
-    if threads == 1 or len(items) <= 1:
-        return [work(it) for it in items]
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, items))
-
-
 def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig,
-                      init: FilmAdapter, mode: str = "full-table",
-                      threads: int = 1):
+                      init: FilmAdapter, mode: str = "full-table"):
     """Run the full round loop and return ``(final adapter, training log)``.
 
     Clients are the non-frozen batches present in ``meta``; all of them
     participate every round. Aggregation weights count all cells of a batch,
     not only its training split. With ``cfg.target == "pooled"`` each client's
     target map comes from ``pooled_targets`` over the participating batches.
-    Deterministic given inputs and ``cfg.seed``, regardless of ``threads``.
+    Deterministic given inputs and ``cfg.seed``.
     """
     if init.d != emb.d:
         raise DimensionError(
@@ -187,21 +172,19 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
     log: list[RoundRecord] = []
     for t in range(cfg.rounds):
         snapshot = adapter
-        results = _run_clients(clients, cell_blocks, snapshot, cfg, t, threads)
         contributions = []
-        for state, (gamma_row, beta_row, train_loss, holdout_loss) in zip(clients, results):
+        for state in clients:
+            gamma_row, beta_row, train_loss, holdout_loss = client_local_update(
+                state, cell_blocks[state.batch_name], snapshot, cfg, t)
             if not (np.isfinite(train_loss) and np.isfinite(gamma_row).all()
                     and np.isfinite(beta_row).all()):
                 raise TrainingAbort(
                     f"non-finite loss or parameters at round {t}, "
                     f"client {state.batch_name!r}"
                 )
-            gtab = snapshot.gamma.copy()
-            btab = snapshot.beta.copy()
-            row = snapshot.row_index(state.batch_name)
-            gtab[row] = gamma_row
-            btab[row] = beta_row
-            contributions.append((state.batch_name, gtab, btab, sizes[state.batch_name]))
+            tables = snapshot.with_rows({state.batch_name: (gamma_row, beta_row)})
+            contributions.append((state.batch_name, tables.gamma, tables.beta,
+                                  sizes[state.batch_name]))
             log.append(RoundRecord(t, state.batch_name, train_loss, holdout_loss))
         adapter = aggregate(contributions, mode, snapshot)
     return adapter, log
@@ -243,15 +226,15 @@ class StageResult:
     log: list[RoundRecord]
 
 
-def _stage_cells(meta: CellMetadata, batches) -> list[str]:
-    wanted = set(batches)
-    return [c for c, b in meta.batch_of.items() if b in wanted]
+def _stage_rows(meta: CellMetadata, batches) -> np.ndarray:
+    """Metadata rows of the given batches' cells, in metadata order."""
+    wanted = [meta.batch_names.index(b) for b in batches]
+    return np.flatnonzero(np.isin(meta.batch_codes, wanted))
 
 
 def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
-                 cfg: TrainConfig, mode: str = "full-table", threads: int = 1,
-                 knn_k: int = 15, kmeans_restarts: int = 10,
-                 metrics_seed: int = 0) -> list[StageResult]:
+                 cfg: TrainConfig, mode: str = "full-table", knn_k: int = 15,
+                 kmeans_restarts: int = 10, metrics_seed: int = 0) -> list[StageResult]:
     """Drive a cumulative or continual dataset-evolution protocol.
 
     cumulative: at every stage re-embed all data seen so far (PCA of ``data``
@@ -282,15 +265,14 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
         seen: list[str] = []
         for si, group in enumerate(plan.stages):
             seen.extend(group)
-            cells = _stage_cells(meta, seen)
+            cells = items_at(meta.cell_ids, _stage_rows(meta, seen))
             sub_meta = meta.restricted_to(cells)
             if plan.pca_components is not None:
                 base_emb = pca(data.subset(cells), plan.pca_components)
             else:
                 base_emb = data.subset(cells)
             init = identity_adapter(sub_meta.batch_names, base_emb.d)
-            adapter, log = run_federated_fit(base_emb, sub_meta, cfg, init,
-                                             mode=mode, threads=threads)
+            adapter, log = run_federated_fit(base_emb, sub_meta, cfg, init, mode=mode)
             corrected = apply_adapter(base_emb, sub_meta, adapter)
             report = evaluate(corrected, sub_meta, subset="scenario", knn_k=knn_k,
                               seed=metrics_seed, kmeans_restarts=kmeans_restarts)
@@ -302,35 +284,31 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
 
     # continual: data is the fixed precomputed embedding for all cells
     adapter: FilmAdapter | None = None
-    corrected_coords: dict[str, np.ndarray] = {}
+    coords = np.empty((len(meta.cell_ids), data.d))  # corrected coordinates by metadata row
     seen = []
     for si, group in enumerate(plan.stages):
-        new_cells = _stage_cells(meta, group)
-        if not new_cells:
+        new_rows = _stage_rows(meta, group)
+        if not len(new_rows):
             raise ValidationError(f"continual stage {si} has zero new cells")
+        new_cells = items_at(meta.cell_ids, new_rows)
         new_emb = data.subset(new_cells)
         new_meta = meta.restricted_to(new_cells)
         if adapter is None:
             adapter = identity_adapter(new_meta.batch_names, new_emb.d)
-            adapter, log = run_federated_fit(new_emb, new_meta, cfg, adapter,
-                                             mode=mode, threads=threads)
+            adapter, log = run_federated_fit(new_emb, new_meta, cfg, adapter, mode=mode)
         else:
             adapter = adapter.with_new_batches(new_meta.batch_names)
             # Only the new clients train; row-restricted aggregation keeps the
             # frozen reference rows untouched by construction.
             adapter, log = run_federated_fit(new_emb, new_meta, cfg, adapter,
-                                             mode="row-restricted", threads=threads)
-        corrected_new = apply_adapter(new_emb, new_meta, adapter)
-        for cid, row in zip(corrected_new.cell_ids, corrected_new.values):
-            corrected_coords[cid] = row
+                                             mode="row-restricted")
+        coords[new_rows] = apply_adapter(new_emb, new_meta, adapter).values
         adapter = adapter.freeze(new_meta.batch_names)
 
         seen.extend(group)
-        seen_cells = _stage_cells(meta, seen)
-        combined = EmbeddingMatrix(
-            tuple(seen_cells),
-            np.array([corrected_coords[c] for c in seen_cells]),
-        )
+        seen_rows = _stage_rows(meta, seen)
+        seen_cells = items_at(meta.cell_ids, seen_rows)
+        combined = EmbeddingMatrix(seen_cells, coords[seen_rows])
         sub_meta = meta.restricted_to(seen_cells)
         baseline_emb = data.subset(seen_cells)
         report = evaluate(combined, sub_meta, subset="scenario", knn_k=knn_k,

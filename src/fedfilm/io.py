@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CellMetadata, EmbeddingMatrix, FedfilmError, FilmAdapter
+from .core import (CellMetadata, EmbeddingMatrix, FedfilmError, FilmAdapter,
+                   ValidationError, items_at)
 from .federation import AGGREGATION_MODES, RoundRecord
 from .metrics import METRIC_SUBSETS, MetricsReport
 from .objective import TrainConfig
@@ -24,6 +25,7 @@ from .synth import GroundTruth
 
 ADAPTER_FORMAT = "film-adapter/1"
 _CELL_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_BAD_NAME_RE = re.compile(r"^$|[,\r\n]")
 
 
 class LoadError(FedfilmError):
@@ -57,15 +59,18 @@ def save_embeddings(path, emb: EmbeddingMatrix):
 
 def save_metadata(path, meta: CellMetadata):
     path = Path(path)
-    with_labels = meta.label_of is not None
-    header = "cell_id,batch,cell_type" if with_labels else "cell_id,batch"
-    lines = [header]
-    for cid, batch in meta.batch_of.items():
+    for name in meta.batch_names + (meta.label_names or ()):
+        if _BAD_NAME_RE.search(name):
+            raise LoadError(f"{path}: batch or cell type name {name!r} is empty "
+                            "or contains a comma or a line break")
+    for cid in meta.cell_ids:
         _check_cell_id(cid, str(path))
-        if with_labels:
-            lines.append(f"{cid},{batch},{meta.label_of[cid]}")
-        else:
-            lines.append(f"{cid},{batch}")
+    header = "cell_id,batch"
+    columns = [meta.cell_ids, items_at(meta.batch_names, meta.batch_codes)]
+    if meta.label_codes is not None:
+        header += ",cell_type"
+        columns.append(items_at(meta.label_names, meta.label_codes))
+    lines = [header, *map(",".join, zip(*columns))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -165,16 +170,17 @@ def load_embeddings(matrix_path, metadata_path):
     """
     emb = load_embedding_matrix(matrix_path)
     meta = load_metadata(metadata_path)
-    missing = [c for c in emb.cell_ids if c not in meta.batch_of]
-    if missing:
+    try:
+        rows = meta.rows_for(emb.cell_ids)
+    except ValidationError:
+        known = set(meta.cell_ids)
+        missing = [c for c in emb.cell_ids if c not in known]
         raise LoadError(
             f"{metadata_path}: no metadata for cell id {missing[0]!r}"
             + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
-        )
-    if set(meta.batch_of) != set(emb.cell_ids):
-        keep = set(emb.cell_ids)
-        ordered = [c for c in meta.batch_of if c in keep]
-        meta = meta.restricted_to(ordered)
+        ) from None
+    if len(rows) != len(meta.cell_ids):
+        meta = meta.restricted_to(items_at(meta.cell_ids, np.sort(rows)))
     return emb, meta
 
 
@@ -193,6 +199,22 @@ def save_adapter(path, adapter: FilmAdapter):
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
+def _list_of(value, types) -> bool:
+    # exact types: json gives bool for true/false, and bool subclasses int
+    return isinstance(value, list) and all(type(v) in types for v in value)
+
+
+_TABLE = (lambda v: isinstance(v, list) and all(_list_of(r, (int, float)) for r in v),
+          "a list of lists of numbers")
+_ADAPTER_TYPES = {  # key -> (check of its JSON value, what the value must be)
+    "d": (lambda v: type(v) is int, "an integer"),
+    "batch_names": (lambda v: _list_of(v, (str,)), "a list of strings"),
+    "frozen": (lambda v: _list_of(v, (bool,)), "a list of booleans"),
+    "gamma": _TABLE,
+    "beta": _TABLE,
+}
+
+
 def load_adapter(path) -> FilmAdapter:
     path = Path(path)
     try:
@@ -202,14 +224,17 @@ def load_adapter(path) -> FilmAdapter:
     if not isinstance(doc, dict) or doc.get("format") != ADAPTER_FORMAT:
         raise LoadError(f"{path}: expected format {ADAPTER_FORMAT!r}, "
                         f"got {doc.get('format')!r}")
+    for key, (valid, kind) in _ADAPTER_TYPES.items():
+        if not valid(doc.get(key)):
+            raise LoadError(f"{path}: {key!r} must be {kind}")
     try:
         adapter = FilmAdapter(
             tuple(doc["batch_names"]),
             np.array(doc["gamma"], dtype=np.float64),
             np.array(doc["beta"], dtype=np.float64),
-            tuple(bool(f) for f in doc["frozen"]),
+            tuple(doc["frozen"]),
         )
-    except (KeyError, ValueError, FedfilmError) as exc:
+    except (ValueError, FedfilmError) as exc:
         raise LoadError(f"{path}: invalid adapter document: {exc}") from exc
     if adapter.d != doc.get("d"):
         raise LoadError(f"{path}: declared d = {doc.get('d')} but tables have "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellMetadata, EmbeddingMatrix, ValidationError
+from .core import CellMetadata, EmbeddingMatrix, ValidationError, encode_groups
 
 BIO_METRICS = ("kmeans_nmi", "kmeans_ari", "label_asw", "isolated_f1", "clisi_score")
 BATCH_METRICS = ("batch_asw", "ilisi_score", "kbet_per_label",
@@ -30,6 +30,9 @@ METRIC_SUBSETS = {
     "scenario": (("kmeans_nmi", "kmeans_ari", "label_asw"),
                  ("batch_asw", "ilisi_score")),
 }
+
+# batch-mixing metrics that score 1.0 when the evaluated cells span one batch
+_SINGLE_BATCH_DEFAULTS = ("batch_asw", "ilisi_score", "kbet_per_label", "pcr_score")
 
 BIO_WEIGHT = 0.6
 BATCH_WEIGHT = 0.4
@@ -88,14 +91,6 @@ class NeighborGraph:
         return self.neighbors.shape[0]
 
 
-def _encode(codes) -> tuple[list, np.ndarray]:
-    """Group names in first-appearance order and each cell's group index."""
-    codes = np.asarray(codes).tolist()
-    groups = list(dict.fromkeys(codes))
-    index = {g: i for i, g in enumerate(groups)}
-    return groups, np.array([index[c] for c in codes], dtype=np.intp)
-
-
 def _row_block_size(n: int) -> int:
     # cap each block's distance slice at ~64 MB so big inputs stay in memory
     return max(32, min(n, (1 << 23) // max(n, 1)))
@@ -120,7 +115,7 @@ def _distance_sweep(values, k: int | None, codes):
             raise ValidationError(f"k = {k} must be smaller than the cell count {n}")
         neighbors = np.empty((n, k), dtype=np.intp)
     if codes is not None:
-        groups, coded = _encode(codes)
+        groups, coded = encode_groups(codes)
         if len(groups) < 2:
             raise ValidationError("silhouette needs at least two groups")
         onehot = np.zeros((n, len(groups)))
@@ -271,18 +266,15 @@ def _lloyd(values, centers, max_iter, tol):
 # partition agreement
 
 def _contingency(a, b):
-    a = list(a)
-    b = list(b)
+    """Counts of each (a, b) group pair; groups in first-appearance order."""
     if len(a) != len(b):
         raise ValidationError("label sequences differ in length")
-    if not a:
+    if not len(a):
         raise ValidationError("empty label sequences")
-    ua = {v: i for i, v in enumerate(dict.fromkeys(a))}
-    ub = {v: i for i, v in enumerate(dict.fromkeys(b))}
-    table = np.zeros((len(ua), len(ub)), dtype=np.int64)
-    for x, y in zip(a, b):
-        table[ua[x], ub[y]] += 1
-    return table
+    ua, ca = encode_groups(a)
+    ub, cb = encode_groups(b)
+    counts = np.bincount(ca * len(ub) + cb, minlength=len(ua) * len(ub))
+    return counts.reshape(len(ua), len(ub)).astype(np.int64)
 
 
 def nmi(a, b) -> float:
@@ -365,24 +357,24 @@ def silhouette_batch_asw(values, batches, labels) -> float:
     batch silhouette, then averaged across labels.
 
     Labels containing a single batch are skipped (their batch silhouette is
-    undefined); at least one label must span two batches.
+    undefined). When no label spans two batches the score is 1.0: no label
+    has batches to mix, the convention kBET applies to single-batch labels
+    and ``evaluate`` to single-batch inputs.
     """
     values = np.asarray(values, dtype=np.float64)
-    batches = np.asarray(batches)
-    labels = np.asarray(labels)
-    if len(dict.fromkeys(batches.tolist())) < 2:
+    batch_order, batches = encode_groups(batches)
+    label_order, labels = encode_groups(labels)
+    if len(batch_order) < 2:
         raise ValidationError("batch silhouette needs at least two batches")
     per_label = []
-    for lab in dict.fromkeys(labels.tolist()):
+    for lab in range(len(label_order)):
         mask = labels == lab
         sub_batches = batches[mask]
-        if len(dict.fromkeys(sub_batches.tolist())) < 2:
+        if np.all(sub_batches == sub_batches[0]):
             continue
         s = silhouette_samples(values[mask], sub_batches)
         per_label.append(float(np.mean(1.0 - np.abs(s))))
-    if not per_label:
-        raise ValidationError("no label spans more than one batch")
-    return float(np.mean(per_label))
+    return float(np.mean(per_label)) if per_label else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +393,7 @@ def lisi(graph_or_values, codes, k: int | None = None) -> np.ndarray:
         if k is None:
             raise ValidationError("k is required when passing raw coordinates")
         graph = build_neighbor_graph(graph_or_values, k)
-    groups, coded = _encode(codes)
+    groups, coded = encode_groups(codes)
     p = _neighbor_counts(graph, coded, len(groups)) / graph.neighbors.shape[1]
     return 1.0 / np.sum(p * p, axis=1)
 
@@ -484,14 +476,14 @@ def kbet_per_label(graph: NeighborGraph, batches, labels, alpha: float = 0.05) -
     of that label's test; neighbors from such batches do not enter the
     statistic. Labels containing a single batch score 1 by convention.
     """
-    batch_order, bcoded = _encode(batches)
-    labels = np.asarray(labels)
+    batch_order, bcoded = encode_groups(batches)
+    label_order, labels = encode_groups(labels)
     if len(batch_order) < 2:
         raise ValidationError("kbet needs at least two batches")
     neighbor_counts = _neighbor_counts(graph, bcoded, len(batch_order))
 
     per_label = []
-    for lab in dict.fromkeys(labels.tolist()):
+    for lab in range(len(label_order)):
         mask = labels == lab
         present = np.bincount(bcoded[mask], minlength=len(batch_order))
         cats = np.flatnonzero(present)
@@ -521,7 +513,7 @@ def kbet_per_label(graph: NeighborGraph, batches, labels, alpha: float = 0.05) -
 def graph_connectivity(graph: NeighborGraph, labels) -> float:
     """Average over labels of the largest-connected-component fraction of the
     label-induced subgraph on the symmetrized kNN edges."""
-    groups, coded = _encode(labels)
+    groups, coded = encode_groups(labels)
     src = np.repeat(np.arange(graph.n), graph.neighbors.shape[1])
     dst = graph.neighbors.ravel()
     same = coded[src] == coded[dst]
@@ -560,8 +552,7 @@ def pcr_score(values, batches, max_components: int = 50) -> float:
     (less batch-associated variance).
     """
     values = np.asarray(values, dtype=np.float64)
-    batches = np.asarray(batches)
-    batch_order = list(dict.fromkeys(batches.tolist()))
+    batch_order, batches = encode_groups(batches)
     n, d = values.shape
     if len(batch_order) < 2:
         raise ValidationError("pcr needs at least two batches")
@@ -574,9 +565,7 @@ def pcr_score(values, batches, max_components: int = 50) -> float:
     m = min(d, max_components)
     comps = centered @ eigvecs[:, order[:m]]
 
-    design = np.stack(
-        [(batches == b).astype(np.float64) for b in batch_order], axis=1
-    )
+    design = (batches[:, None] == np.arange(len(batch_order))).astype(np.float64)
     coef, *_ = np.linalg.lstsq(design, comps, rcond=None)
     fitted = design @ coef
     r2 = np.zeros(m)
@@ -602,33 +591,17 @@ def isolated_label_f1(batches, labels, clusters):
     ``(score, all_labels_isolated)`` where the flag marks the degenerate case
     of every label being isolated under the minimum rule.
     """
-    batches = np.asarray(batches)
-    labels = np.asarray(labels)
-    clusters = np.asarray(clusters)
-    label_order = list(dict.fromkeys(labels.tolist()))
-    n_batches_of = {
-        lab: len(dict.fromkeys(batches[labels == lab].tolist()))
-        for lab in label_order
-    }
-    min_presence = min(n_batches_of.values())
-    isolated = [lab for lab in label_order if n_batches_of[lab] == min_presence]
-    all_isolated = len(isolated) == len(label_order)
+    n_batches_of = np.count_nonzero(_contingency(labels, batches), axis=1)
+    isolated = np.flatnonzero(n_batches_of == n_batches_of.min())
+    all_isolated = len(isolated) == len(n_batches_of)
 
-    scores = []
-    cluster_ids = list(dict.fromkeys(clusters.tolist()))
-    for lab in isolated:
-        truth = labels == lab
-        best = 0.0
-        for c in cluster_ids:
-            pred = clusters == c
-            tp = float(np.sum(pred & truth))
-            if tp == 0:
-                continue
-            precision = tp / float(np.sum(pred))
-            recall = tp / float(np.sum(truth))
-            best = max(best, 2 * precision * recall / (precision + recall))
-        scores.append(best)
-    return float(np.mean(scores)), all_isolated
+    table = _contingency(labels, clusters).astype(np.float64)  # labels x clusters
+    tp = table[isolated]
+    precision = tp / table.sum(axis=0)
+    recall = tp / table.sum(axis=1)[isolated, None]
+    f1 = np.divide(2 * precision * recall, precision + recall,
+                   out=np.zeros_like(tp), where=tp > 0)
+    return float(np.mean(f1.max(axis=1))), all_isolated
 
 
 # ---------------------------------------------------------------------------
@@ -647,14 +620,17 @@ def evaluate(emb: EmbeddingMatrix, meta: CellMetadata, subset: str = "full",
     if subset not in METRIC_SUBSETS:
         raise ValidationError(f"unknown metric subset {subset!r}")
     values = emb.values
-    batches = np.asarray(meta.batches_for(emb))
-    labels = np.asarray(meta.labels_for(emb))
+    rows = meta.rows_for(emb.cell_ids)
+    if meta.label_codes is None:
+        raise ValidationError("metadata carries no cell-type labels")
+    # numbered by first appearance among the evaluated rows, as the metrics number groups
+    batch_order, batches = encode_groups(meta.batch_codes[rows])
+    label_order, labels = encode_groups(meta.label_codes[rows])
     if emb.n < 2:
         raise ValidationError("evaluation needs at least two cells")
     bio_names, batch_names = METRIC_SUBSETS[subset]
     wanted = set(bio_names + batch_names)
-    n_batches = len(dict.fromkeys(batches.tolist()))
-    label_order = list(dict.fromkeys(labels.tolist()))
+    n_batches = len(batch_order)
     n_types = len(label_order)
 
     # one distance sweep gives the kNN graph and the label silhouette together
@@ -675,15 +651,14 @@ def evaluate(emb: EmbeddingMatrix, meta: CellMetadata, subset: str = "full",
     scores: dict[str, float] = {}
     all_isolated = False
 
-    def single_batch_default(metric):
-        scores[metric] = 1.0
-
     for metric in bio_names + batch_names:
         try:
-            if metric == "kmeans_nmi":
-                scores[metric] = nmi(clusters.tolist(), labels.tolist())
+            if n_batches < 2 and metric in _SINGLE_BATCH_DEFAULTS:
+                scores[metric] = 1.0
+            elif metric == "kmeans_nmi":
+                scores[metric] = nmi(clusters, labels)
             elif metric == "kmeans_ari":
-                scores[metric] = float(np.clip(ari(clusters.tolist(), labels.tolist()), 0.0, 1.0))
+                scores[metric] = float(np.clip(ari(clusters, labels), 0.0, 1.0))
             elif metric == "label_asw":
                 if n_types < 2:
                     raise ValidationError("label silhouette needs at least two labels")
@@ -694,27 +669,15 @@ def evaluate(emb: EmbeddingMatrix, meta: CellMetadata, subset: str = "full",
             elif metric == "clisi_score":
                 scores[metric] = clisi_score(float(np.mean(lisi(graph, labels))), n_types)
             elif metric == "batch_asw":
-                if n_batches < 2:
-                    single_batch_default(metric)
-                else:
-                    scores[metric] = silhouette_batch_asw(values, batches, labels)
+                scores[metric] = silhouette_batch_asw(values, batches, labels)
             elif metric == "ilisi_score":
-                if n_batches < 2:
-                    single_batch_default(metric)
-                else:
-                    scores[metric] = ilisi_score(float(np.mean(lisi(graph, batches))), n_batches)
+                scores[metric] = ilisi_score(float(np.mean(lisi(graph, batches))), n_batches)
             elif metric == "kbet_per_label":
-                if n_batches < 2:
-                    single_batch_default(metric)
-                else:
-                    scores[metric] = kbet_per_label(graph, batches, labels)
+                scores[metric] = kbet_per_label(graph, batches, labels)
             elif metric == "graph_connectivity":
                 scores[metric] = graph_connectivity(graph, labels)
             elif metric == "pcr_score":
-                if n_batches < 2:
-                    single_batch_default(metric)
-                else:
-                    scores[metric] = pcr_score(values, batches)
+                scores[metric] = pcr_score(values, batches)
         except ValidationError as exc:
             raise ValidationError(f"{metric}: {exc}") from exc
     return MetricsReport.from_scores(subset, scores, all_labels_isolated=all_isolated)

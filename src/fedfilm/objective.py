@@ -188,7 +188,7 @@ def local_loss(cells, gamma_b, beta_b, anchor_gamma_b, anchor_beta_b,
 
 
 def local_gradient(cells, gamma_b, beta_b, anchor_gamma_b, anchor_beta_b,
-                   full_gamma, full_beta, cfg: TrainConfig, target=None):
+                   cfg: TrainConfig, target=None):
     """Analytic gradient of the local objective w.r.t. the client's own rows.
 
     Other batches' rows are held fixed during local optimization, so their
@@ -257,8 +257,7 @@ def client_local_update(state: ClientState, client_cells, snapshot: FilmAdapter,
         for start in range(0, len(train), cfg.minibatch_size):
             zb = train[order[start:start + cfg.minibatch_size]]
             d_gamma, d_beta = local_gradient(
-                zb, gamma, beta, anchor_gamma, anchor_beta, None, None, cfg,
-                state.target,
+                zb, gamma, beta, anchor_gamma, anchor_beta, cfg, state.target,
             )
             gamma, beta = _adam_step(state, gamma, beta, d_gamma, d_beta, cfg)
 

@@ -70,7 +70,7 @@ def test_c02_gradient_correctness_100_configs():
                               theta[:d][None, :], theta[d:][None, :], cfg)
 
         analytic = np.concatenate(
-            local_gradient(cells, g, b, ag, ab, None, None, cfg))
+            local_gradient(cells, g, b, ag, ab, cfg))
         numeric = fd_gradient(loss_flat, np.concatenate([g, b]), h=1e-5)
         rel = np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8))
         worst = max(worst, float(rel))

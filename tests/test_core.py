@@ -143,6 +143,18 @@ def test_embedding_validation():
         EmbeddingMatrix(("a", "b"), np.zeros((3, 2)))
 
 
+def test_apply_ignores_metadata_batches_without_cells():
+    emb, meta = small_instance()
+    # "B3" has a metadata row but no cell in the embedding and no adapter row
+    wider = CellMetadata.from_columns(["a", "z", "b", "c"], ["B1", "B3", "B2", "B1"])
+    adapter = FilmAdapter(("B2", "B1"), np.array([[2.0, 2.0], [0.5, 1.0]]),
+                          np.array([[1.0, 0.0], [0.0, -1.0]]))
+    out = apply_adapter(emb, wider, adapter)
+    assert np.array_equal(out.values, apply_adapter(emb, meta, adapter).values)
+    with pytest.raises(MissingBatchError, match="B3"):
+        apply_adapter(EmbeddingMatrix(("z",), np.ones((1, 2))), wider, adapter)
+
+
 def test_metadata_validation():
     with pytest.raises(ValidationError):
         CellMetadata.from_columns(["a", "a"], ["x", "x"])
@@ -154,6 +166,22 @@ def test_metadata_validation():
     meta = CellMetadata.from_columns(["a", "b", "c"], ["y", "x", "y"])
     assert meta.batch_names == ("y", "x")  # first-appearance order
     assert meta.batch_sizes() == {"y": 2, "x": 1}
+
+
+def test_coded_metadata_validation():
+    ids = ("a", "b", "c")
+    meta = CellMetadata(ids, np.array([1, 0, 1]), ("y", "x"))
+    assert dict(meta.batch_of) == {"a": "x", "b": "y", "c": "x"}
+    assert meta.label_of is None
+    for codes, names in [([0, 1, 2], ("x", "y")),      # code out of range
+                         ([0, -1, 0], ("x", "y")),     # negative code
+                         ([0, 0, 0], ("x", "y")),      # unused name
+                         ([0, 1, 0], ("x", "x")),      # duplicate names
+                         ([0, 1], ("x", "y"))]:        # a cell without a code
+        with pytest.raises(ValidationError):
+            CellMetadata(ids, np.array(codes), names)
+    with pytest.raises(ValidationError):
+        CellMetadata(ids, np.zeros(3, dtype=int), ("x",), np.array([0, 0, 2]), ("t", "u"))
 
 
 def test_adapter_validation():

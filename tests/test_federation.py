@@ -147,18 +147,6 @@ def test_fit_single_batch_modes_agree():
     assert np.array_equal(a1.beta, a2.beta)
 
 
-def test_fit_thread_count_does_not_change_bits():
-    emb, meta, _ = synthetic_instance()
-    cfg = TrainConfig(seed=3, rounds=2)
-    init = identity_adapter(meta.batch_names, emb.d)
-    a1, log1 = run_federated_fit(emb, meta, cfg, init, threads=1)
-    a2, log2 = run_federated_fit(emb, meta, cfg, init, threads=3)
-    a3, log3 = run_federated_fit(emb, meta, cfg, init, threads=0)
-    assert np.array_equal(a1.gamma, a2.gamma) and np.array_equal(a1.beta, a2.beta)
-    assert np.array_equal(a1.gamma, a3.gamma) and np.array_equal(a1.beta, a3.beta)
-    assert log1 == log2 == log3
-
-
 def test_fit_batch_relabeling_equivariance():
     emb, meta, _ = synthetic_instance()
     cfg = TrainConfig(seed=4, rounds=2)

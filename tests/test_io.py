@@ -195,3 +195,34 @@ def test_writers_are_deterministic(tmp_path):
     fio.save_metadata(m1, meta)
     fio.save_metadata(m2, meta)
     assert m1.read_bytes() == m2.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("batch_names", "ab", id="batch_names-string"),
+    pytest.param("batch_names", [1, 2], id="batch_names-numbers"),
+    pytest.param("frozen", ["false", "false"], id="frozen-strings"),
+    pytest.param("frozen", [0, 1], id="frozen-numbers"),
+    pytest.param("d", 2.0, id="d-float"),
+    pytest.param("gamma", [["1", "1"], ["1", "1"]], id="gamma-numeric-strings"),
+    pytest.param("beta", [[False, 0], [0, 0]], id="beta-booleans"),
+])
+def test_load_adapter_rejects_wrong_json_types(tmp_path, key, value):
+    path = tmp_path / "adapter.json"
+    fio.save_adapter(path, identity_adapter(["a", "b"], 2))
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fio.LoadError, match=repr(key)):
+        fio.load_adapter(path)
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", ""])
+@pytest.mark.parametrize("column", ["batch", "cell type"])
+def test_save_metadata_rejects_names_it_cannot_read_back(tmp_path, name, column):
+    batches, labels = ["x", "y"], ["t", "u"]
+    (batches if column == "batch" else labels)[1] = name
+    meta = CellMetadata.from_columns(["c0", "c1"], batches, labels)
+    path = tmp_path / "meta.csv"
+    with pytest.raises(fio.LoadError, match="cell type name"):
+        fio.save_metadata(path, meta)
+    assert not path.exists()

@@ -165,6 +165,17 @@ def test_batch_asw_hand_instance_per_label():
     assert silhouette_batch_asw(values, batches, labels) == pytest.approx(expected, abs=1e-12)
 
 
+def test_batch_asw_is_one_when_no_label_spans_two_batches():
+    # each cell type sits in one batch only: no label has batches to mix
+    emb = EmbeddingMatrix(("c0", "c1", "c2", "c3"),
+                          np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]]))
+    meta = CellMetadata.from_columns(list(emb.cell_ids), ["x", "x", "y", "y"],
+                                     ["a", "a", "b", "b"])
+    assert silhouette_batch_asw(emb.values, ["x", "x", "y", "y"], ["a", "a", "b", "b"]) == 1.0
+    report = evaluate(emb, meta, knn_k=2)
+    assert report.scores["batch_asw"] == 1.0
+
+
 # ---------------------------------------------------------------- lisi
 
 def test_lisi_formula_values():

@@ -39,7 +39,7 @@ def test_loss_and_gradient_hand_instance():
     anchor_g, anchor_b = np.ones(1), np.zeros(1)
     full_g, full_b = g[None, :], b[None, :]
     assert local_loss(cells, g, b, anchor_g, anchor_b, full_g, full_b, cfg) == pytest.approx(10.0)
-    dg, db = local_gradient(cells, g, b, anchor_g, anchor_b, full_g, full_b, cfg)
+    dg, db = local_gradient(cells, g, b, anchor_g, anchor_b, cfg)
     assert dg[0] == pytest.approx(13.0)
     assert db[0] == pytest.approx(7.0)
 
@@ -47,8 +47,7 @@ def test_loss_and_gradient_hand_instance():
 def test_gradient_zero_at_identity_stationary_point():
     cfg = cfg_with(mu=0.8, lam=0.0)
     cells = np.random.default_rng(1).standard_normal((9, 4))
-    dg, db = local_gradient(cells, np.ones(4), np.zeros(4), np.ones(4), np.zeros(4),
-                            None, None, cfg)
+    dg, db = local_gradient(cells, np.ones(4), np.zeros(4), np.ones(4), np.zeros(4), cfg)
     assert np.all(dg == 0.0)
     assert np.all(db == 0.0)
 
@@ -76,7 +75,7 @@ def test_gradient_matches_finite_differences():
             return local_loss(cells, gg, bb, ag, ab, full_g, full_b, cfg)
 
         theta = np.concatenate([g, b])
-        dg, db = local_gradient(cells, g, b, ag, ab, None, None, cfg)
+        dg, db = local_gradient(cells, g, b, ag, ab, cfg)
         analytic = np.concatenate([dg, db])
         numeric = fd_gradient(loss_flat, theta, h=1e-5)
         denom = np.maximum(np.abs(numeric), 1e-8)
@@ -98,7 +97,7 @@ def test_gradient_with_target_matches_finite_differences():
             gg, bb = theta[:d], theta[d:]
             return local_loss(cells, gg, bb, ag, ab, gg[None, :], bb[None, :], cfg, target)
 
-        analytic = np.concatenate(local_gradient(cells, g, b, ag, ab, None, None, cfg, target))
+        analytic = np.concatenate(local_gradient(cells, g, b, ag, ab, cfg, target))
         numeric = fd_gradient(loss_flat, np.concatenate([g, b]), h=1e-5)
         denom = np.maximum(np.abs(numeric), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-5
@@ -110,8 +109,7 @@ def test_identity_target_map_matches_default_target():
     cells = rng.standard_normal((11, 3))
     args = (cells, rng.uniform(0.5, 1.5, 3), rng.standard_normal(3), np.ones(3), np.zeros(3))
     identity = (np.ones(3), np.zeros(3))
-    for a, b in zip(local_gradient(*args, None, None, cfg),
-                    local_gradient(*args, None, None, cfg, identity)):
+    for a, b in zip(local_gradient(*args, cfg), local_gradient(*args, cfg, identity)):
         assert np.array_equal(a, b)
 
 
