@@ -26,25 +26,6 @@ class UsageError(FedfilmError):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-_CONFIG_FLAGS = {
-    # flag dest -> config file key
-    "mu": "mu",
-    "lam": "lambda",
-    "learning_rate": "learning_rate",
-    "local_epochs": "local_epochs",
-    "rounds": "rounds",
-    "minibatch_size": "minibatch_size",
-    "train_fraction": "train_fraction",
-    "target": "target",
-    "seed": "seed",
-    "aggregation_mode": "aggregation_mode",
-    "metric_subset": "metric_subset",
-    "knn_k": "knn_k",
-    "kmeans_restarts": "kmeans_restarts",
-    "threads": "threads",
-}
-
-
 def _add_config_flags(parser, *, training=True, metrics=True):
     grp = parser.add_argument_group("config overrides")
     grp.add_argument("--config", help="JSON config file (flat key/value)")
@@ -72,11 +53,9 @@ def _effective_config(args) -> fio.RunConfig:
     cfg = fio.RunConfig(train=TrainConfig())
     if getattr(args, "config", None):
         cfg = fio.load_config(args.config, base=cfg)
-    overrides = {}
-    for dest, key in _CONFIG_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[key] = value
+    # each override flag's dest is its config field's name
+    overrides = {key: getattr(args, name) for key, (_, name) in fio.CONFIG_KEYS.items()
+                 if getattr(args, name, None) is not None}
     try:
         return fio.config_from_dict(overrides, base=cfg)
     except fio.ConfigError as exc:

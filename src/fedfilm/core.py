@@ -6,6 +6,7 @@ The adapter transform is a per-batch affine map in latent space:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -51,7 +52,7 @@ class EmbeddingMatrix:
     def __post_init__(self):
         ids = tuple(str(c) for c in self.cell_ids)
         if len(set(ids)) != len(ids):
-            dupes = sorted({c for c in ids if ids.count(c) > 1})
+            dupes = sorted(c for c, n in Counter(ids).items() if n > 1)
             raise ValidationError(f"duplicate cell ids: {dupes[:5]}")
         arr = _as_readonly(self.values, "embedding values")
         if arr.shape[0] != len(ids):
@@ -267,17 +268,14 @@ class FilmAdapter:
             beta[i] = b
         return FilmAdapter(self.batch_names, gamma, beta, self.frozen)
 
-    def with_new_batches(self, batch_names, d: int | None = None) -> "FilmAdapter":
+    def with_new_batches(self, batch_names) -> "FilmAdapter":
         """Append identity-initialized, unfrozen rows for new batch names."""
         new = [str(b) for b in batch_names]
         for b in new:
             if b in self.batch_names:
                 raise ValidationError(f"batch {b!r} already present in adapter")
-        d = self.d if d is None else d
-        if d != self.d:
-            raise DimensionError("new rows must match adapter dimension")
-        gamma = np.vstack([self.gamma, np.ones((len(new), d))])
-        beta = np.vstack([self.beta, np.zeros((len(new), d))])
+        gamma = np.vstack([self.gamma, np.ones((len(new), self.d))])
+        beta = np.vstack([self.beta, np.zeros((len(new), self.d))])
         return FilmAdapter(
             self.batch_names + tuple(new), gamma, beta,
             self.frozen + (False,) * len(new),

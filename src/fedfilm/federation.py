@@ -101,8 +101,6 @@ def aggregate(client_params, mode: str, base: FilmAdapter) -> FilmAdapter:
 
     frozen_rows = [i for i, f in enumerate(base.frozen) if f]
     if frozen_rows:
-        new_gamma = np.asarray(new_gamma).copy()
-        new_beta = np.asarray(new_beta).copy()
         new_gamma[frozen_rows] = base.gamma[frozen_rows]
         new_beta[frozen_rows] = base.beta[frozen_rows]
     return FilmAdapter(base.batch_names, new_gamma, new_beta, base.frozen)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .objective import TrainConfig
 from .synth import GroundTruth
 
 ADAPTER_FORMAT = "film-adapter/1"
-_CELL_ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_CELL_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _BAD_NAME_RE = re.compile(r"^$|[,\r\n]")
 
 
@@ -40,21 +40,39 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_json(path, doc):
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise LoadError(f"cannot parse {what} file {path}: {exc}") from exc
+
+
 def _check_cell_id(cid: str, where: str):
-    if not _CELL_ID_RE.match(cid):
+    if not _CELL_ID_RE.fullmatch(cid):
         raise LoadError(f"{where}: cell id {cid!r} contains characters outside [A-Za-z0-9_.-]")
 
 
 # ---------------------------------------------------------------------------
 # embeddings and metadata
 
-def save_embeddings(path, emb: EmbeddingMatrix):
+def _write_rows(path, columns, cell_ids, rows):
+    """Write a header ``cell_id,<columns>`` and one line per cell id: the id,
+    then its row's fields. Every id is checked before anything is written."""
     path = Path(path)
-    lines = ["cell_id," + ",".join(f"z{j}" for j in range(emb.d))]
-    for cid, row in zip(emb.cell_ids, emb.values):
+    for cid in cell_ids:
         _check_cell_id(cid, str(path))
-        lines.append(cid + "," + ",".join(_fmt(v) for v in row))
+    lines = [",".join(["cell_id", *columns]),
+             *(cid + "," + ",".join(fields) for cid, fields in zip(cell_ids, rows))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def save_embeddings(path, emb: EmbeddingMatrix):
+    _write_rows(path, [f"z{j}" for j in range(emb.d)], emb.cell_ids,
+                (map(repr, row.tolist()) for row in emb.values))
 
 
 def save_metadata(path, meta: CellMetadata):
@@ -63,102 +81,113 @@ def save_metadata(path, meta: CellMetadata):
         if _BAD_NAME_RE.search(name):
             raise LoadError(f"{path}: batch or cell type name {name!r} is empty "
                             "or contains a comma or a line break")
-    for cid in meta.cell_ids:
-        _check_cell_id(cid, str(path))
-    header = "cell_id,batch"
-    columns = [meta.cell_ids, items_at(meta.batch_names, meta.batch_codes)]
+    columns = {"batch": items_at(meta.batch_names, meta.batch_codes)}
     if meta.label_codes is not None:
-        header += ",cell_type"
-        columns.append(items_at(meta.label_names, meta.label_codes))
-    lines = [header, *map(",".join, zip(*columns))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        columns["cell_type"] = items_at(meta.label_names, meta.label_codes)
+    _write_rows(path, list(columns), meta.cell_ids, zip(*columns.values()))
 
 
-def _read_lines(path) -> list[str]:
+def _read_rows(path, header_problem):
+    """Read a comma-delimited table whose rows start with a cell id.
+
+    ``header_problem(header fields)`` returns what is wrong with the header,
+    or None. Returns the header fields, the file's lines (line ``n`` is
+    ``lines[n - 1]``) and an iterator of ``(line number, fields)`` over the
+    data rows, which checks each row's width, its cell id's characters and
+    that the id is new as it reaches the row.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     if not lines:
         raise LoadError(f"{path}: empty file")
-    return lines
+    header = lines[0].split(",")
+    problem = header_problem(header)
+    if problem:
+        raise LoadError(f"{path}:1: {problem}")
+    if len(lines) < 2:
+        raise LoadError(f"{path}: no data rows")
+
+    def rows():
+        seen: set[str] = set()
+        for ln in range(2, len(lines) + 1):
+            fields = lines[ln - 1].split(",")
+            if len(fields) != len(header):
+                raise LoadError(f"{path}:{ln}: expected {len(header)} columns, "
+                                f"got {len(fields)}")
+            cid = fields[0]
+            _check_cell_id(cid, f"{path}:{ln}")
+            if cid in seen:
+                raise LoadError(f"{path}:{ln}: duplicate cell id {cid!r}")
+            seen.add(cid)
+            yield ln, fields
+
+    return header, lines, rows()
+
+
+def _coordinate_error(path, ln: int, fields) -> LoadError:
+    """The error for the first coordinate of a row that is not a finite number."""
+    for tok in fields[1:]:
+        try:
+            v = float(tok)
+        except ValueError:
+            return LoadError(f"{path}:{ln}: non-numeric coordinate {tok!r}")
+        if not math.isfinite(v):
+            return LoadError(f"{path}:{ln}: non-finite coordinate {tok!r}")
+
+
+def _check_finite(path, lines, values):
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise _coordinate_error(path, row + 2, lines[row + 1].split(","))
 
 
 def load_embedding_matrix(path) -> EmbeddingMatrix:
     """Parse the delimited matrix file: header row, ``cell_id`` first, then
     numeric latent coordinates."""
-    path = Path(path)
-    lines = _read_lines(path)
-    header = lines[0].split(",")
-    if header[0] != "cell_id" or len(header) < 2:
-        raise LoadError(f"{path}:1: header must start with 'cell_id' and name "
-                        "at least one coordinate column")
-    if len(lines) < 2:
-        raise LoadError(f"{path}: no data rows")
-    width = len(header)
+    header, lines, rows = _read_rows(path, lambda header: (
+        None if header[0] == "cell_id" and len(header) >= 2 else
+        "header must start with 'cell_id' and name at least one coordinate column"))
+    values = np.empty((len(lines) - 1, len(header) - 1))
     ids: list[str] = []
-    seen: set[str] = set()
-    rows = np.empty((len(lines) - 1, width - 1))
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise LoadError(f"{path}:{ln}: expected {width} columns, got {len(parts)}")
-        cid = parts[0]
-        _check_cell_id(cid, f"{path}:{ln}")
-        if cid in seen:
-            raise LoadError(f"{path}:{ln}: duplicate cell id {cid!r}")
-        seen.add(cid)
-        ids.append(cid)
-        for j, tok in enumerate(parts[1:]):
+    try:
+        for ln, fields in rows:
             try:
-                v = float(tok)
+                values[len(ids)] = list(map(float, fields[1:]))
             except ValueError:
-                raise LoadError(f"{path}:{ln}: non-numeric coordinate {tok!r}") from None
-            if not math.isfinite(v):
-                raise LoadError(f"{path}:{ln}: non-finite coordinate {tok!r}")
-            rows[ln - 2, j] = v
-    return EmbeddingMatrix(tuple(ids), rows)
+                raise _coordinate_error(path, ln, fields) from None
+            ids.append(fields[0])
+    except LoadError:
+        _check_finite(path, lines, values[:len(ids)])  # an earlier line's fault comes first
+        raise
+    _check_finite(path, lines, values)
+    return EmbeddingMatrix(tuple(ids), values)
+
+
+_METADATA_HEADERS = (["cell_id", "batch"], ["cell_id", "batch", "cell_type"])
 
 
 def load_metadata(path) -> CellMetadata:
     """Parse the metadata file: header ``cell_id,batch[,cell_type]``; any
     other column is rejected."""
-    path = Path(path)
-    lines = _read_lines(path)
-    header = lines[0].split(",")
-    if header == ["cell_id", "batch"]:
-        with_labels = False
-    elif header == ["cell_id", "batch", "cell_type"]:
-        with_labels = True
-    else:
-        raise LoadError(f"{path}:1: header must be 'cell_id,batch' or "
-                        f"'cell_id,batch,cell_type', got {lines[0]!r}")
-    width = len(header)
-    ids, batches, labels = [], [], []
-    seen: set[str] = set()
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise LoadError(f"{path}:{ln}: expected {width} columns, got {len(parts)}")
-        cid = parts[0]
-        _check_cell_id(cid, f"{path}:{ln}")
-        if cid in seen:
-            raise LoadError(f"{path}:{ln}: duplicate cell id {cid!r}")
-        seen.add(cid)
-        if not parts[1]:
+    header, _, rows = _read_rows(path, lambda header: (
+        None if header in _METADATA_HEADERS else "header must be 'cell_id,batch' or "
+        f"'cell_id,batch,cell_type', got {','.join(header)!r}"))
+    columns = tuple([] for _ in header)
+    for ln, fields in rows:
+        if not fields[1]:
             raise LoadError(f"{path}:{ln}: empty batch name")
-        ids.append(cid)
-        batches.append(parts[1])
-        if with_labels:
-            if not parts[2]:
-                raise LoadError(f"{path}:{ln}: empty cell type (partial labels "
-                                "are not allowed)")
-            labels.append(parts[2])
-    return CellMetadata.from_columns(ids, batches, labels if with_labels else None)
+        if len(fields) == 3 and not fields[2]:
+            raise LoadError(f"{path}:{ln}: empty cell type (partial labels "
+                            "are not allowed)")
+        for column, field in zip(columns, fields):
+            column.append(field)
+    return CellMetadata.from_columns(*columns)
 
 
 def load_embeddings(matrix_path, metadata_path):
@@ -188,15 +217,14 @@ def load_embeddings(matrix_path, metadata_path):
 # adapter persistence
 
 def save_adapter(path, adapter: FilmAdapter):
-    doc = {
+    _write_json(path, {
         "format": ADAPTER_FORMAT,
         "d": adapter.d,
         "batch_names": list(adapter.batch_names),
         "frozen": list(adapter.frozen),
-        "gamma": [[float(v) for v in row] for row in adapter.gamma],
-        "beta": [[float(v) for v in row] for row in adapter.beta],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        "gamma": adapter.gamma.tolist(),
+        "beta": adapter.beta.tolist(),
+    })
 
 
 def _list_of(value, types) -> bool:
@@ -217,13 +245,10 @@ _ADAPTER_TYPES = {  # key -> (check of its JSON value, what the value must be)
 
 def load_adapter(path) -> FilmAdapter:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LoadError(f"cannot parse adapter file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != ADAPTER_FORMAT:
-        raise LoadError(f"{path}: expected format {ADAPTER_FORMAT!r}, "
-                        f"got {doc.get('format')!r}")
+    doc = _read_json(path, "adapter")
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != ADAPTER_FORMAT:
+        raise LoadError(f"{path}: expected format {ADAPTER_FORMAT!r}, got {found!r}")
     for key, (valid, kind) in _ADAPTER_TYPES.items():
         if not valid(doc.get(key)):
             raise LoadError(f"{path}: {key!r} must be {kind}")
@@ -269,64 +294,46 @@ class RunConfig:
             raise ConfigError("threads must be >= 0 (0 = auto)")
 
 
-# the config file key for TrainConfig.lam is "lambda"
-_TRAIN_KEYS = {
-    "mu": "mu", "lambda": "lam", "learning_rate": "learning_rate",
-    "local_epochs": "local_epochs", "rounds": "rounds",
-    "minibatch_size": "minibatch_size", "train_fraction": "train_fraction",
-    "seed": "seed", "adam_beta1": "adam_beta1", "adam_beta2": "adam_beta2",
-    "adam_epsilon": "adam_epsilon",
-    "reset_moments_per_round": "reset_moments_per_round",
-    "target": "target",
+# config file key -> (True for a TrainConfig field, False for a RunConfig
+# field, field name); the key of TrainConfig.lam is "lambda"
+CONFIG_KEYS = {
+    {"lam": "lambda"}.get(f.name, f.name): (cls is TrainConfig, f.name)
+    for cls in (TrainConfig, RunConfig) for f in fields(cls) if f.name != "train"
 }
-_RUN_KEYS = ("aggregation_mode", "metric_subset", "knn_k", "kmeans_restarts", "threads")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for file_key, attr in _TRAIN_KEYS.items():
-        out[file_key] = getattr(cfg.train, attr)
-    for key in _RUN_KEYS:
-        out[key] = getattr(cfg, key)
-    return out
+    return {key: getattr(cfg.train if in_train else cfg, name)
+            for key, (in_train, name) in CONFIG_KEYS.items()}
 
 
 def config_from_dict(doc: dict, base: RunConfig | None = None) -> RunConfig:
     """Build a RunConfig from a flat mapping; unknown keys are an error."""
     if base is None:
         base = RunConfig(train=TrainConfig())
-    known = set(_TRAIN_KEYS) | set(_RUN_KEYS)
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    train_kwargs = {attr: getattr(base.train, attr) for attr in
-                    (f.name for f in fields(TrainConfig))}
-    run_kwargs = {key: getattr(base, key) for key in _RUN_KEYS}
+    train_kwargs, run_kwargs = {}, {}
     for key, value in doc.items():
-        if key in _TRAIN_KEYS:
-            train_kwargs[_TRAIN_KEYS[key]] = value
-        else:
-            run_kwargs[key] = value
+        in_train, name = CONFIG_KEYS[key]
+        (train_kwargs if in_train else run_kwargs)[name] = value
     try:
-        return RunConfig(train=TrainConfig(**train_kwargs), **run_kwargs)
+        return replace(base, train=replace(base.train, **train_kwargs), **run_kwargs)
     except FedfilmError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LoadError(f"cannot parse config file {path}: {exc}") from exc
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a flat key/value document")
     return config_from_dict(doc, base=base)
 
 
 def save_config(path, cfg: RunConfig):
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=1) + "\n",
-                          encoding="utf-8")
+    _write_json(path, config_to_dict(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +378,21 @@ def save_report(directory, report: MetricsReport, stem: str = "metrics"):
 
 
 def save_ground_truth(path, truth: GroundTruth):
-    doc = {
+    _write_json(path, {
         "batch_names": list(truth.batch_names),
-        "scale": [[float(v) for v in row] for row in truth.scale],
-        "shift": [[float(v) for v in row] for row in truth.shift],
-        "centroids": [[float(v) for v in row] for row in truth.centroids],
+        "scale": truth.scale.tolist(),
+        "shift": truth.shift.tolist(),
+        "centroids": truth.centroids.tolist(),
         "exact_inverse": {
-            "gamma": [[float(v) for v in row] for row in 1.0 / truth.scale],
-            "beta": [[float(v) for v in row] for row in -truth.shift / truth.scale],
+            "gamma": (1.0 / truth.scale).tolist(),
+            "beta": (-truth.shift / truth.scale).tolist(),
         },
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    })
 
 
 def save_manifest(directory, command: str, artifacts: list[str], cfg: RunConfig | None):
-    doc = {
+    _write_json(Path(directory, "manifest.json"), {
         "command": command,
         "artifacts": sorted(artifacts),
         "config": config_to_dict(cfg) if cfg is not None else None,
-    }
-    Path(directory, "manifest.json").write_text(json.dumps(doc, indent=1) + "\n",
-                                                encoding="utf-8")
+    })

@@ -200,3 +200,15 @@ def test_frozen_rows_cannot_be_replaced():
     updated = adapter.with_rows({"b": (np.full(2, 2.0), np.full(2, 3.0))})
     assert updated.gamma[1].tolist() == [2.0, 2.0]
     assert updated.frozen == (True, False)
+
+
+def test_duplicate_cell_ids_are_named_in_linear_time():
+    import time
+    ids = [f"c{i}" for i in range(20_000)] + ["c7", "c3", "c3"]
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"duplicate cell ids: \['c3', 'c7'\]$"):
+        EmbeddingMatrix(tuple(ids), np.zeros((len(ids), 1)))
+    # a per-id count is quadratic: several seconds at this size
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(ValidationError, match=r"\['c0', 'c1', 'c2', 'c3', 'c4'\]$"):
+        EmbeddingMatrix(tuple(ids[:10] * 2), np.zeros((20, 1)))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -226,3 +227,44 @@ def test_save_metadata_rejects_names_it_cannot_read_back(tmp_path, name, column)
     with pytest.raises(fio.LoadError, match="cell type name"):
         fio.save_metadata(path, meta)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("header", ["cell_id,batch", "cell_id,batch,cell_type"])
+def test_header_only_metadata_names_the_file(tmp_path, header):
+    p = tmp_path / "meta.csv"
+    p.write_text(header + "\n")
+    with pytest.raises(fio.LoadError, match=f"^{re.escape(str(p))}: no data rows$"):
+        fio.load_metadata(p)
+
+
+@pytest.mark.parametrize("later", ["c9,1.0", "bad id,1.0,2.0", "c0,1.0,2.0", "c9,abc,1.0"])
+@pytest.mark.parametrize("earlier, token", [("c8,inf,1.0", "inf"), ("c8,1.0,1e400", "1e400"),
+                                            ("c8,nan,abc", "nan")])
+def test_load_reports_the_earlier_of_two_faulty_lines(tmp_path, earlier, token, later):
+    p = tmp_path / "emb.csv"
+    p.write_text("\n".join(["cell_id,z0,z1", "c0,1.0,2.0", earlier, "c1,3.0,4.0", later]) + "\n")
+    with pytest.raises(fio.LoadError, match=f"^{re.escape(str(p))}:3: non-finite coordinate '{token}'$"):
+        fio.load_embedding_matrix(p)
+
+
+def test_save_rejects_cell_id_ending_in_a_line_break(tmp_path):
+    emb = EmbeddingMatrix(("c0\n",), np.ones((1, 1)))
+    with pytest.raises(fio.LoadError, match="'c0\\\\n'"):
+        fio.save_embeddings(tmp_path / "emb.csv", emb)
+    assert not (tmp_path / "emb.csv").exists()
+
+
+@pytest.mark.parametrize("load", [fio.load_embedding_matrix, fio.load_metadata,
+                                  fio.load_adapter, fio.load_config])
+def test_loaders_reject_bytes_that_are_not_utf8(tmp_path, load):
+    p = tmp_path / "file"
+    p.write_bytes(b"cell_id,z0\nc0,\xff\n")
+    with pytest.raises(fio.LoadError, match=re.escape(str(p))):
+        load(p)
+
+
+def test_adapter_document_that_is_not_an_object_is_a_load_error(tmp_path):
+    p = tmp_path / "adapter.json"
+    p.write_text("[1, 2]")
+    with pytest.raises(fio.LoadError, match="expected format 'film-adapter/1', got None"):
+        fio.load_adapter(p)
