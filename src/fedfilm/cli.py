@@ -10,7 +10,6 @@ error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -153,14 +152,9 @@ def _cmd_scenario(args) -> int:
                          "re-embedding) or --embeddings (fixed embedding)")
     cfg = _effective_config(args)
     try:
-        plan_doc = json.loads(Path(args.plan).read_text(encoding="utf-8"))
-        plan = ScenarioPlan(
-            mode=plan_doc["mode"],
-            stages=tuple(tuple(g) for g in plan_doc["stages"]),
-            pca_components=plan_doc.get("pca_components"),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise UsageError(f"cannot parse scenario plan {args.plan}: {exc}") from exc
+        plan = fio.load_plan(args.plan)
+    except fio.LoadError as exc:
+        raise UsageError(str(exc)) from exc
     if plan.mode == "cumulative" and args.features and plan.pca_components is None:
         raise UsageError("cumulative scenarios over raw features need "
                          "pca_components in the plan")

@@ -1,4 +1,4 @@
-"""File formats, run configuration, and adapter persistence.
+"""File formats, run configuration, scenario plans and adapter persistence.
 
 All writers emit deterministic byte streams: UTF-8, ``\\n`` line endings,
 comma delimiters without quoting, stable key order, and shortest
@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (CellMetadata, EmbeddingMatrix, FedfilmError, FilmAdapter,
                    ValidationError, items_at)
-from .federation import AGGREGATION_MODES, RoundRecord
+from .federation import AGGREGATION_MODES, RoundRecord, ScenarioPlan
 from .metrics import METRIC_SUBSETS, MetricsReport
 from .objective import TrainConfig
 from .synth import GroundTruth
@@ -265,6 +265,35 @@ def load_adapter(path) -> FilmAdapter:
         raise LoadError(f"{path}: declared d = {doc.get('d')} but tables have "
                         f"d = {adapter.d}")
     return adapter
+
+
+# ---------------------------------------------------------------------------
+# scenario plans
+
+_PLAN_TYPES = {  # key -> (check of its JSON value, what the value must be)
+    "mode": (lambda v: type(v) is str, "a string"),
+    "stages": (lambda v: isinstance(v, list) and all(_list_of(g, (str,)) for g in v),
+               "a list of lists of strings"),
+    "pca_components": (lambda v: v is None or type(v) is int,
+                       "absent, null or an integer"),
+}
+
+
+def load_plan(path) -> ScenarioPlan:
+    """Read a scenario plan: a JSON object with ``mode``, ``stages`` and an
+    optional ``pca_components``."""
+    path = Path(path)
+    doc = _read_json(path, "scenario plan")
+    if not isinstance(doc, dict):
+        raise LoadError(f"{path}: a scenario plan must be a JSON object")
+    for key, (valid, kind) in _PLAN_TYPES.items():
+        if not valid(doc.get(key)):
+            raise LoadError(f"{path}: {key!r} must be {kind}")
+    try:
+        return ScenarioPlan(doc["mode"], tuple(tuple(g) for g in doc["stages"]),
+                            doc.get("pca_components"))
+    except ValidationError as exc:
+        raise LoadError(f"{path}: invalid scenario plan: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

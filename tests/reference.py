@@ -130,6 +130,34 @@ def slow_knn(values, k):
     return out
 
 
+
+def gram_sq_dists(values):
+    """Squared distances in the Gram form ``(|x|^2 + |y|^2) - (2x) @ y.T``,
+    clamped at 0, with each row's self entry set to inf.
+
+    This is the kNN sweep's own rounding when all rows fit in one block, so
+    a neighbor selection can be checked bit for bit on arbitrary floats.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    sq = np.sum(values * values, axis=1)
+    d2 = np.maximum((sq[:, None] + sq[None, :]) - (2.0 * values) @ values.T, 0.0)
+    d2[np.arange(len(values)), np.arange(len(values))] = np.inf
+    return d2
+
+
+def lexsort_knn(d2, k):
+    """Each row's first k columns after a full sort by (distance, index)."""
+    index = np.broadcast_to(np.arange(d2.shape[1]), d2.shape)
+    return np.lexsort((index, d2), axis=1)[:, :k]
+
+
+def assign_by_broadcast(values, centers):
+    """Nearest-center labels and squared distances from one (n, k, d)
+    difference tensor; argmin keeps the first of tied centers."""
+    d2 = np.sum((values[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(len(values)), labels]
+
 def slow_lisi(neighbor_lists, codes):
     out = []
     for nbrs in neighbor_lists:

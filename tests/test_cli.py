@@ -258,6 +258,45 @@ def test_scenario_flag_validation(tmp_path, synth_dir, capsys):
                 "--out", str(tmp_path / "y")]) == 2
 
 
+
+def run_plan(plan, synth_dir, tmp_path):
+    return run(["scenario", "--plan", str(plan),
+                "--embeddings", str(synth_dir / "embeddings.csv"),
+                "--metadata", str(synth_dir / "metadata.csv"),
+                "--out", str(tmp_path / "scen"), "--rounds", "1", "--knn-k", "5"])
+
+
+def test_scenario_plan_that_is_not_utf8_is_usage_error(tmp_path, synth_dir, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_bytes(b'{"mode": "continual", "stages": [["batch\xff"]]}')
+    assert run_plan(plan, synth_dir, tmp_path) == 2
+    assert str(plan) in capsys.readouterr().err
+
+
+def test_scenario_plan_stages_as_string_is_usage_error(tmp_path, synth_dir, capsys):
+    # a string is a sequence of one-character batch names, not a list of stages
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"mode": "continual", "stages": "ab"}))
+    assert run_plan(plan, synth_dir, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(plan) in err and "'stages'" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("stages", [[0]], id="stages-numbers"),
+    pytest.param("pca_components", "7", id="pca_components-string"),
+])
+def test_scenario_plan_values_of_the_wrong_type_are_usage_errors(
+        tmp_path, synth_dir, capsys, key, value):
+    doc = {"mode": "cumulative", "stages": [["batch0"], ["batch1"]]}
+    doc[key] = value
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    assert run_plan(plan, synth_dir, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(plan) in err and repr(key) in err
+    assert not (tmp_path / "scen").exists()
+
 def test_baseline_pca_cli(tmp_path, synth_dir):
     out = tmp_path / "pca"
     code = run(["baseline-pca", "--features", str(synth_dir / "embeddings.csv"),

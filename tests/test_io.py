@@ -217,6 +217,53 @@ def test_load_adapter_rejects_wrong_json_types(tmp_path, key, value):
         fio.load_adapter(path)
 
 
+def test_load_plan_reads_a_valid_plan(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"mode": "cumulative", "stages": [["a", "b"], ["c"]],
+                                "pca_components": 3}))
+    plan = fio.load_plan(path)
+    assert (plan.mode, plan.stages, plan.pca_components) == (
+        "cumulative", (("a", "b"), ("c",)), 3)
+    path.write_text(json.dumps({"mode": "continual", "stages": [["a"]],
+                                "pca_components": None}))
+    assert fio.load_plan(path).pca_components is None
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("mode", None, id="mode-missing"),
+    pytest.param("mode", 1, id="mode-number"),
+    pytest.param("stages", None, id="stages-missing"),
+    pytest.param("stages", "ab", id="stages-string"),
+    pytest.param("stages", ["ab"], id="stages-list-of-strings"),
+    pytest.param("stages", [[0]], id="stages-numbers"),
+    pytest.param("pca_components", "7", id="pca_components-string"),
+    pytest.param("pca_components", 7.0, id="pca_components-float"),
+    pytest.param("pca_components", True, id="pca_components-boolean"),
+])
+def test_load_plan_rejects_wrong_json_types(tmp_path, key, value):
+    doc = {"mode": "continual", "stages": [["a"], ["b"]]}
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fio.LoadError, match=repr(key)):
+        fio.load_plan(path)
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'[["a"]]', id="not-an-object"),
+    pytest.param(b'{"mode": "continual", "stages": [["\xff"]]}', id="not-utf8"),
+    pytest.param(b'{"mode": "sideways", "stages": [["a"]]}', id="unknown-mode"),
+    pytest.param(b'{"mode": "continual", "stages": [["a"], ["a"]]}', id="overlapping-stages"),
+])
+def test_load_plan_rejects_malformed_documents(tmp_path, content):
+    path = tmp_path / "plan.json"
+    path.write_bytes(content)
+    with pytest.raises(fio.LoadError, match=re.escape(str(path))):
+        fio.load_plan(path)
+
 @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", ""])
 @pytest.mark.parametrize("column", ["batch", "cell type"])
 def test_save_metadata_rejects_names_it_cannot_read_back(tmp_path, name, column):

@@ -1,5 +1,5 @@
 """Property tests of the integer-coded cell metadata against dict-based oracles
-on random cell ids, batches and labels."""
+on random cell ids, batches and labels, and of the adapter's use of it."""
 
 import string
 import tempfile
@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fedfilm import CellMetadata, EmbeddingMatrix
+from fedfilm import CellMetadata, EmbeddingMatrix, FilmAdapter, apply_adapter
 from fedfilm import io as fio
 from fedfilm.core import batch_row_indices, encode_groups
+
+from reference import elementwise_adapter
 
 CELL_IDS = st.text(alphabet=string.ascii_letters + string.digits + "_.-",
                    min_size=1, max_size=6)
@@ -123,3 +125,46 @@ def test_encoder_matches_first_appearance_oracle(values):
     order = list(dict.fromkeys(values.tolist()))
     assert names.tolist() == order
     assert codes.tolist() == [order.index(v) for v in values.tolist()]
+
+
+@st.composite
+def adapter_case(draw):
+    """Columns with a matrix of finite values, an adapter with a row for each
+    batch in a drawn order, and two row permutations."""
+    ids, batches, _ = draw(columns())
+    d = draw(st.integers(1, 4))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+    def table(rows):
+        flat = draw(st.lists(finite, min_size=rows * d, max_size=rows * d))
+        return np.array(flat, dtype=np.float64).reshape(rows, d)
+
+    names = draw(st.permutations(list(dict.fromkeys(batches))))
+    adapter = FilmAdapter(tuple(names), table(len(names)), table(len(names)))
+    return (ids, batches, table(len(ids)), adapter,
+            draw(st.permutations(range(len(ids)))), draw(st.permutations(range(len(ids)))))
+
+
+@PROPERTY_SETTINGS
+@given(adapter_case())
+def test_apply_adapter_is_row_local_and_permutation_equivariant(case):
+    ids, batches, values, adapter, row_perm, meta_perm = case
+    meta = CellMetadata.from_columns(ids, batches)
+    out = apply_adapter(EmbeddingMatrix(tuple(ids), values), meta, adapter)
+    rows = [adapter.row_index(b) for b in batches]
+    assert out.cell_ids == tuple(ids)
+    assert np.array_equal(out.values,
+                          elementwise_adapter(values, rows, adapter.gamma, adapter.beta))
+    # permuting the matrix rows permutes the output rows
+    permuted = EmbeddingMatrix(tuple(ids[i] for i in row_perm), values[list(row_perm)])
+    assert np.array_equal(apply_adapter(permuted, meta, adapter).values,
+                          out.values[list(row_perm)])
+    # permuting the metadata rows changes nothing
+    meta_p = CellMetadata.from_columns([ids[i] for i in meta_perm],
+                                       [batches[i] for i in meta_perm])
+    assert np.array_equal(apply_adapter(EmbeddingMatrix(tuple(ids), values), meta_p,
+                                        adapter).values, out.values)
+    # each row alone gives its row of the whole
+    for i in range(0, len(ids), 7):
+        alone = apply_adapter(EmbeddingMatrix((ids[i],), values[i:i + 1]), meta, adapter)
+        assert np.array_equal(alone.values[0], out.values[i])

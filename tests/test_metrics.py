@@ -23,7 +23,10 @@ from fedfilm.metrics import (
 )
 
 from reference import (
+    assign_by_broadcast,
     best_two_partition_inertia,
+    gram_sq_dists,
+    lexsort_knn,
     slow_ari,
     slow_connectivity,
     slow_knn,
@@ -65,6 +68,36 @@ def test_kmeans_deterministic():
     l1, i1 = kmeans(values, 4, seed=5)
     l2, i2 = kmeans(values, 4, seed=5)
     assert np.array_equal(l1, l2) and i1 == i2
+
+
+
+def same_assignment(got, want):
+    labels, min_d2 = got
+    want_labels, want_d2 = want
+    return (np.array_equal(labels, want_labels)
+            and min_d2.tobytes() == want_d2.tobytes())
+
+
+def test_assign_equals_broadcast_oracle_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for n, d, k in [(200, 1, 3), (200, 2, 5), (500, 7, 8), (300, 32, 8), (50, 130, 4)]:
+        values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+        centers = values[rng.choice(n, k, replace=False)]
+        assert same_assignment(metrics._assign(values, centers),
+                               assign_by_broadcast(values, centers))
+
+
+def test_assign_ties_go_to_the_first_center():
+    # x = 0 is equally far from -1 and +1; duplicate centers tie everywhere
+    values = np.array([[0.0], [-1.0], [1.0], [0.5], [-3.0]])
+    for centers in ([[1.0], [-1.0]], [[-1.0], [1.0]], [[2.0], [2.0], [-1.0], [-1.0]]):
+        centers = np.array(centers)
+        got = metrics._assign(values, centers)
+        assert same_assignment(got, assign_by_broadcast(values, centers))
+    labels, _ = metrics._assign(values, np.array([[1.0], [-1.0]]))
+    assert labels[0] == 0
+    labels, _ = metrics._assign(values, np.array([[2.0], [2.0], [-1.0], [-1.0]]))
+    assert labels.tolist() == [2, 2, 0, 0, 2]
 
 
 # ---------------------------------------------------------------- nmi / ari
@@ -267,6 +300,52 @@ def test_neighbor_graph_ties_across_row_blocks():
             tied += int(np.sum(at_or_below > k))
             untied += int(np.sum(at_or_below == k))
         assert tied > 0 and untied > 0
+
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(np.ones((50, 3)), id="all-rows-identical"),
+    pytest.param(np.where(np.random.default_rng(24).random((60, 3)) < 0.5, 0.0, 1.0),
+                 id="two-distinct-values"),
+    pytest.param(np.repeat([[0.0, 1.0], [2.0, 5.0]], 40, axis=0), id="two-distinct-rows"),
+])
+def test_neighbor_graph_mass_ties_match_full_sort(values):
+    d2 = gram_sq_dists(values)
+    n = len(values)
+    for k in sorted({1, 2, 5, 15, n // 4, n // 4 + 1, n - 1}):
+        assert np.array_equal(build_neighbor_graph(values, k).neighbors, lexsort_knn(d2, k))
+
+
+def test_neighbor_graph_on_distances_that_overflow():
+    # squared norms near 1e310 overflow: the distances from the large rows are
+    # inf or nan. Rows whose k-th distance is a number keep the (distance,
+    # index) order; where it is nan, no order is defined.
+    rng = np.random.default_rng(25)
+    values = np.vstack([rng.standard_normal((30, 4)) * 1e155, rng.standard_normal((30, 4))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = gram_sq_dists(values)
+        assert np.isnan(d2).any() and np.isinf(d2[~np.eye(60, dtype=bool)]).any()
+        for k in (1, 5, 15, 29, 45):
+            want = lexsort_knn(d2, k)
+            defined = ~np.isnan(d2[np.arange(60), want[:, -1]])
+            assert defined[30:].all()
+            got = build_neighbor_graph(values, k).neighbors
+            assert np.array_equal(got[defined], want[defined])
+
+
+def test_neighbor_candidates_include_entries_at_the_sampled_bound(monkeypatch):
+    # on tie-heavy points a row's sampled bound is often its k-th distance
+    # itself; those entries are candidates, so no chunk needs a full-row pass
+    def full_row_pass(d2, k):
+        raise AssertionError("a chunk fell back to partitioning full rows")
+
+    values = integer_points(24, 400, 2, 20)
+    monkeypatch.setattr(metrics, "_nearest_by_partition", full_row_pass)
+    d2 = gram_sq_dists(values)
+    for k in (1, 5, 15):
+        assert np.array_equal(build_neighbor_graph(values, k).neighbors, lexsort_knn(d2, k))
+    # a row whose minimum sits in a sampled column: the bound is that minimum
+    assert metrics._nearest(np.arange(9.0)[None, :], 1).tolist() == [[0]]
 
 
 # ---------------------------------------------------------------- kbet
