@@ -177,15 +177,10 @@ def _cmd_scenario(args) -> int:
         fio.save_embeddings(sdir / "corrected_embeddings.csv", stage.corrected)
         fio.save_adapter(sdir / "adapter.json", stage.adapter)
         fio.save_training_log(sdir / "training_log.csv", stage.log)
-        fio.save_report(sdir, stage.report, stem="metrics")
-        fio.save_report(sdir, stage.baseline_report, stem="baseline_metrics")
-        artifacts += [f"stage{stage.stage_index}/corrected_embeddings.csv",
-                      f"stage{stage.stage_index}/adapter.json",
-                      f"stage{stage.stage_index}/training_log.csv",
-                      f"stage{stage.stage_index}/metrics.txt",
-                      f"stage{stage.stage_index}/metrics.csv",
-                      f"stage{stage.stage_index}/baseline_metrics.txt",
-                      f"stage{stage.stage_index}/baseline_metrics.csv"]
+        names = ["corrected_embeddings.csv", "adapter.json", "training_log.csv",
+                 *fio.save_report(sdir, stage.report, stem="metrics"),
+                 *fio.save_report(sdir, stage.baseline_report, stem="baseline_metrics")]
+        artifacts += [f"{sdir.name}/{name}" for name in names]
     _finish(out, "scenario", artifacts, cfg)
     return 0
 

@@ -158,12 +158,13 @@ class CellMetadata:
         """Sub-metadata for the given cells in the given order, with group
         orders re-derived by first appearance among them."""
         rows = self.rows_for(cell_ids)
-        labels = None
+        batch_order, batch_codes = encode_groups(self.batch_codes[rows])
+        label_names = label_codes = None
         if self.label_codes is not None:
-            labels = items_at(self.label_names, self.label_codes[rows])
-        return CellMetadata.from_columns(items_at(self.cell_ids, rows),
-                                         items_at(self.batch_names, self.batch_codes[rows]),
-                                         labels)
+            label_order, label_codes = encode_groups(self.label_codes[rows])
+            label_names = items_at(self.label_names, label_order)
+        return CellMetadata(items_at(self.cell_ids, rows), batch_codes,
+                            items_at(self.batch_names, batch_order), label_codes, label_names)
 
 
 def encode_groups(values) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +318,8 @@ def apply_adapter(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter
             f"adapter dimension {adapter.d} does not match embedding dimension {emb.d}"
         )
     # batches present, by first appearance among the rows: the first without a row raises
-    present, codes = encode_groups(meta.batch_codes[meta.rows_for(emb.cell_ids)])
-    rows = [adapter.row_index(meta.batch_names[b]) for b in present]
-    idx = np.array(rows, dtype=np.intp)[codes]
+    sub = meta.restricted_to(emb.cell_ids)
+    rows = [adapter.row_index(b) for b in sub.batch_names]
+    idx = np.array(rows, dtype=np.intp)[sub.batch_codes]
     out = adapter.gamma[idx] * emb.values + adapter.beta[idx]
     return EmbeddingMatrix(emb.cell_ids, out)

@@ -133,8 +133,9 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
     """Run the full round loop and return ``(final adapter, training log)``.
 
     Clients are the non-frozen batches present in ``meta``; all of them
-    participate every round. Aggregation weights count all cells of a batch,
-    not only its training split. With ``cfg.target == "pooled"`` each client's
+    participate every round. Aggregation weights count all of a batch's
+    cells in ``emb``, not only its training split; ``meta`` may cover more
+    cells than ``emb``. With ``cfg.target == "pooled"`` each client's
     target map comes from ``pooled_targets`` over the participating batches.
     Deterministic given inputs and ``cfg.seed``.
     """
@@ -145,7 +146,7 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
     for b in meta.batch_names:
         init.row_index(b)  # raises MissingBatchError when a row is absent
     blocks = batch_row_indices(emb, meta)
-    sizes = meta.batch_sizes()
+    sizes = {b: len(rows) for b, rows in blocks.items()}
     for b, rows in blocks.items():
         if len(rows) == 0:
             raise ValidationError(f"batch {b!r} has no cells")
@@ -247,7 +248,8 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
 
     Stage metrics use the scenario-safe metric subset.
     """
-    from .metrics import evaluate  # local import to keep module load light
+    from .metrics import evaluate  # local imports keep module load light
+    from .synth import pca
 
     known = set(meta.batch_names)
     for group in plan.stages:
@@ -255,64 +257,45 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
             if b not in known:
                 raise ValidationError(f"stage references unknown batch {b!r}")
 
+    def score(emb, sub_meta):
+        return evaluate(emb, sub_meta, subset="scenario", knn_k=knn_k,
+                        seed=metrics_seed, kmeans_restarts=kmeans_restarts)
+
     results: list[StageResult] = []
-
-    if plan.mode == "cumulative":
-        from .synth import pca
-
-        seen: list[str] = []
-        for si, group in enumerate(plan.stages):
-            seen.extend(group)
-            cells = items_at(meta.cell_ids, _stage_rows(meta, seen))
-            sub_meta = meta.restricted_to(cells)
+    adapter: FilmAdapter | None = None
+    coords = np.empty((len(meta.cell_ids), data.d))  # continual: corrected coordinates by metadata row
+    seen: list[str] = []
+    for si, group in enumerate(plan.stages):
+        seen.extend(group)
+        seen_rows = _stage_rows(meta, seen)
+        cells = items_at(meta.cell_ids, seen_rows)
+        sub_meta = meta.restricted_to(cells)
+        base_emb = data.subset(cells)
+        if plan.mode == "cumulative":
             if plan.pca_components is not None:
-                base_emb = pca(data.subset(cells), plan.pca_components)
-            else:
-                base_emb = data.subset(cells)
+                base_emb = pca(base_emb, plan.pca_components)
             init = identity_adapter(sub_meta.batch_names, base_emb.d)
             adapter, log = run_federated_fit(base_emb, sub_meta, cfg, init, mode=mode)
             corrected = apply_adapter(base_emb, sub_meta, adapter)
-            report = evaluate(corrected, sub_meta, subset="scenario", knn_k=knn_k,
-                              seed=metrics_seed, kmeans_restarts=kmeans_restarts)
-            baseline = evaluate(base_emb, sub_meta, subset="scenario", knn_k=knn_k,
-                                seed=metrics_seed, kmeans_restarts=kmeans_restarts)
-            results.append(StageResult(si, tuple(seen), corrected, adapter,
-                                       report, baseline, log))
-        return results
-
-    # continual: data is the fixed precomputed embedding for all cells
-    adapter: FilmAdapter | None = None
-    coords = np.empty((len(meta.cell_ids), data.d))  # corrected coordinates by metadata row
-    seen = []
-    for si, group in enumerate(plan.stages):
-        new_rows = _stage_rows(meta, group)
-        if not len(new_rows):
-            raise ValidationError(f"continual stage {si} has zero new cells")
-        new_cells = items_at(meta.cell_ids, new_rows)
-        new_emb = data.subset(new_cells)
-        new_meta = meta.restricted_to(new_cells)
-        if adapter is None:
-            adapter = identity_adapter(new_meta.batch_names, new_emb.d)
-            adapter, log = run_federated_fit(new_emb, new_meta, cfg, adapter, mode=mode)
         else:
-            adapter = adapter.with_new_batches(new_meta.batch_names)
-            # Only the new clients train; row-restricted aggregation keeps the
-            # frozen reference rows untouched by construction.
-            adapter, log = run_federated_fit(new_emb, new_meta, cfg, adapter,
-                                             mode="row-restricted")
-        coords[new_rows] = apply_adapter(new_emb, new_meta, adapter).values
-        adapter = adapter.freeze(new_meta.batch_names)
-
-        seen.extend(group)
-        seen_rows = _stage_rows(meta, seen)
-        seen_cells = items_at(meta.cell_ids, seen_rows)
-        combined = EmbeddingMatrix(seen_cells, coords[seen_rows])
-        sub_meta = meta.restricted_to(seen_cells)
-        baseline_emb = data.subset(seen_cells)
-        report = evaluate(combined, sub_meta, subset="scenario", knn_k=knn_k,
-                          seed=metrics_seed, kmeans_restarts=kmeans_restarts)
-        baseline = evaluate(baseline_emb, sub_meta, subset="scenario", knn_k=knn_k,
-                            seed=metrics_seed, kmeans_restarts=kmeans_restarts)
-        results.append(StageResult(si, tuple(seen), combined, adapter,
-                                   report, baseline, log))
+            new_rows = _stage_rows(meta, group)
+            if not len(new_rows):
+                raise ValidationError(f"continual stage {si} has zero new cells")
+            new_cells = items_at(meta.cell_ids, new_rows)
+            new_emb = data.subset(new_cells)
+            new_meta = meta.restricted_to(new_cells)
+            if adapter is None:
+                adapter = identity_adapter(new_meta.batch_names, data.d)
+                fit_mode = mode
+            else:
+                # Only the new clients train; row-restricted aggregation keeps
+                # the frozen reference rows untouched by construction.
+                adapter = adapter.with_new_batches(new_meta.batch_names)
+                fit_mode = "row-restricted"
+            adapter, log = run_federated_fit(new_emb, new_meta, cfg, adapter, mode=fit_mode)
+            coords[new_rows] = apply_adapter(new_emb, new_meta, adapter).values
+            adapter = adapter.freeze(new_meta.batch_names)
+            corrected = EmbeddingMatrix(cells, coords[seen_rows])
+        results.append(StageResult(si, tuple(seen), corrected, adapter,
+                                   score(corrected, sub_meta), score(base_emb, sub_meta), log))
     return results

@@ -98,9 +98,15 @@ def _read_rows(path, header_problem):
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        # decode the bytes rather than read text mode: universal newlines
+        # would split a line at a lone "\r", so a cell id holding one would
+        # be reported as a short row on the wrong line; "\r\n" still ends one
+        text = path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     if not lines:

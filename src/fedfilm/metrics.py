@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CellMetadata, EmbeddingMatrix, ValidationError, encode_groups
+from .synth import principal_axes
 
 BIO_METRICS = ("kmeans_nmi", "kmeans_ari", "label_asw", "isolated_f1", "clisi_score")
 BATCH_METRICS = ("batch_asw", "ilisi_score", "kbet_per_label",
@@ -456,53 +457,28 @@ def clisi_score(mean_clisi: float, n_types: int) -> float:
     return float(np.clip((n_types - mean_clisi) / (n_types - 1.0), 0.0, 1.0))
 
 
-def _lower_regularized_gamma(a: float, x: float) -> float:
-    # series expansion, valid and fast for x < a + 1
-    term = 1.0 / a
-    total = term
-    for i in range(1, 1000):
-        term *= x / (a + i)
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_regularized_gamma_cf(a: float, x: float) -> float:
-    # Lentz continued fraction, valid for x >= a + 1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function via the regularized incomplete gamma."""
+    """Chi-square survival function for integer degrees of freedom.
+
+    With h = x / 2 it is the regularized upper incomplete gamma Q(df/2, h),
+    which is a finite sum: the terms exp(-h) h^i / i! for i < df/2 when df
+    is even, and erfc(sqrt(h)) plus the same terms over half-integer i when
+    df is odd.
+    """
+    if df != int(df):
+        raise ValidationError(f"degrees of freedom must be an integer, got {df}")
     if df < 1:
         raise ValidationError("degrees of freedom must be >= 1")
     if x <= 0:
         return 1.0
-    a = 0.5 * df
-    half = 0.5 * x
-    if half < a + 1.0:
-        return max(0.0, min(1.0, 1.0 - _lower_regularized_gamma(a, half)))
-    return max(0.0, min(1.0, _upper_regularized_gamma_cf(a, half)))
+    h = 0.5 * x
+    log_h = math.log(h)
+    offset = 0.5 * (df % 2)
+    total = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    for j in range(int(df) // 2):
+        i = offset + j
+        total += math.exp(-h + i * log_h - math.lgamma(i + 1.0))
+    return min(1.0, total)
 
 
 def kbet_per_label(graph: NeighborGraph, batches, labels, alpha: float = 0.05) -> float:
@@ -596,12 +572,9 @@ def pcr_score(values, batches, max_components: int = 50) -> float:
         raise ValidationError("pcr needs at least two batches")
     if n <= len(batch_order):
         raise ValidationError("pcr needs more cells than batches")
-    centered = values - values.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
+    centered, _, axes = principal_axes(values)
     m = min(d, max_components)
-    comps = centered @ eigvecs[:, order[:m]]
+    comps = centered @ axes[:, :m]
 
     design = (batches[:, None] == np.arange(len(batch_order))).astype(np.float64)
     coef, *_ = np.linalg.lstsq(design, comps, rcond=None)
@@ -658,18 +631,23 @@ def evaluate(emb: EmbeddingMatrix, meta: CellMetadata, subset: str = "full",
     if subset not in METRIC_SUBSETS:
         raise ValidationError(f"unknown metric subset {subset!r}")
     values = emb.values
-    rows = meta.rows_for(emb.cell_ids)
-    if meta.label_codes is None:
-        raise ValidationError("metadata carries no cell-type labels")
     # numbered by first appearance among the evaluated rows, as the metrics number groups
-    batch_order, batches = encode_groups(meta.batch_codes[rows])
-    label_order, labels = encode_groups(meta.label_codes[rows])
+    sub = meta.restricted_to(emb.cell_ids)
+    if sub.label_codes is None:
+        raise ValidationError("metadata carries no cell-type labels")
+    batches, labels = sub.batch_codes, sub.label_codes
     if emb.n < 2:
         raise ValidationError("evaluation needs at least two cells")
+    with np.errstate(over="ignore"):
+        # bounds every pairwise squared distance, the k-means++ totals and the PCR covariance
+        bound = 4.0 * emb.n * float(np.max(np.sum(values * values, axis=1)))
+    if not np.isfinite(bound):
+        raise ValidationError("coordinates are too large: squared distances "
+                              "between cells overflow float64")
     bio_names, batch_names = METRIC_SUBSETS[subset]
     wanted = set(bio_names + batch_names)
-    n_batches = len(batch_order)
-    n_types = len(label_order)
+    n_batches = sub.n_batches
+    n_types = len(sub.label_names)
 
     # one distance sweep gives the kNN graph and the label silhouette together
     k = None

@@ -130,6 +130,16 @@ def generate(spec: SynthSpec):
     return emb, meta, truth
 
 
+def principal_axes(values: np.ndarray):
+    """``(centered, eigvals, eigvecs)``: the column-centered values and the
+    eigenpairs of their covariance, in descending eigenvalue order."""
+    centered = values - values.mean(axis=0)
+    cov = centered.T @ centered / (len(values) - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    return centered, eigvals[order], eigvecs[:, order]
+
+
 def pca(features: EmbeddingMatrix, components: int) -> EmbeddingMatrix:
     """Project onto the top principal axes of the column-centered features.
 
@@ -147,12 +157,7 @@ def pca(features: EmbeddingMatrix, components: int) -> EmbeddingMatrix:
         )
     if n < 2:
         raise ValidationError("pca needs at least two rows")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
+    centered, eigvals, eigvecs = principal_axes(x)
     rank_tol = max(eigvals[0], 0.0) * 1e-10
     rank = int(np.sum(eigvals > rank_tol))
     if components > rank:

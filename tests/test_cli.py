@@ -5,7 +5,7 @@ import pytest
 
 from fedfilm import cli
 from fedfilm import io as fio
-from fedfilm.core import apply_adapter
+from fedfilm.core import EmbeddingMatrix, apply_adapter
 
 
 def run(argv):
@@ -175,6 +175,18 @@ def test_evaluate_flag_conflicts(capsys, synth_dir):
     assert run(["evaluate", "--bio", "0.5", "--batch", "0.5",
                 "--embeddings", str(synth_dir / "embeddings.csv")]) == 2
     assert run(["evaluate"]) == 2
+
+
+def test_evaluate_coordinates_whose_squares_overflow_is_runtime_error(
+        synth_dir, tmp_path, capsys):
+    emb = fio.load_embedding_matrix(synth_dir / "embeddings.csv")
+    huge = tmp_path / "huge.csv"
+    fio.save_embeddings(huge, EmbeddingMatrix(emb.cell_ids, emb.values * 1e155))
+    assert run(["evaluate", "--embeddings", str(huge),
+                "--metadata", str(synth_dir / "metadata.csv"),
+                "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fedfilm evaluate: ") and "overflow" in err
 
 
 def test_scenario_cli_continual(synth_dir, tmp_path):

@@ -274,6 +274,19 @@ def test_fit_aborts_on_nonfinite():
             run_federated_fit(emb, meta, cfg, identity_adapter(meta.batch_names, emb.d))
 
 
+@pytest.mark.parametrize("target", ["self", "pooled"])
+def test_fit_on_metadata_covering_more_cells_than_the_matrix(target):
+    # clients are sized by the matrix's cells, so extra metadata rows change nothing
+    emb, meta, _ = generate(SynthSpec(2, 3, 4, 200, seed=1))
+    sub = emb.subset(emb.cell_ids[:300])
+    cfg = TrainConfig(seed=4, rounds=3, target=target)
+    init = identity_adapter(meta.batch_names, emb.d)
+    a1, log1 = run_federated_fit(sub, meta, cfg, init)
+    a2, log2 = run_federated_fit(sub, meta.restricted_to(sub.cell_ids), cfg, init)
+    assert np.array_equal(a1.gamma, a2.gamma) and np.array_equal(a1.beta, a2.beta)
+    assert log1 == log2
+
+
 def test_fit_requires_adapter_rows_for_all_batches():
     emb, meta, _ = synthetic_instance()
     from fedfilm.core import MissingBatchError

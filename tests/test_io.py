@@ -301,6 +301,15 @@ def test_save_rejects_cell_id_ending_in_a_line_break(tmp_path):
     assert not (tmp_path / "emb.csv").exists()
 
 
+def test_lone_carriage_return_in_a_cell_id_is_a_bad_id_on_its_own_line(tmp_path):
+    p = tmp_path / "emb.csv"
+    p.write_bytes(b"cell_id,z0\r\nc0,1.0\r\n\r,2.0\nc1,3.0\n")
+    with pytest.raises(fio.LoadError, match=f"^{re.escape(str(p))}:3: cell id '\\\\r' contains"):
+        fio.load_embedding_matrix(p)
+    p.write_bytes(b"cell_id,z0\r\nc0,1.0\r\nc1,2.0\r\n")
+    assert fio.load_embedding_matrix(p).cell_ids == ("c0", "c1")
+
+
 @pytest.mark.parametrize("load", [fio.load_embedding_matrix, fio.load_metadata,
                                   fio.load_adapter, fio.load_config])
 def test_loaders_reject_bytes_that_are_not_utf8(tmp_path, load):

@@ -359,6 +359,11 @@ def test_chi2_sf_against_scipy():
     assert chi2_sf(15.0, 1) < 0.05
 
 
+def test_chi2_sf_rejects_non_integer_degrees_of_freedom():
+    with pytest.raises(ValidationError, match="integer"):
+        chi2_sf(3.0, 2.5)
+
+
 def test_kbet_uniform_neighborhoods_accepted():
     # neighborhood composition == global composition for every cell
     coords = np.arange(16.0)[:, None]
@@ -705,6 +710,13 @@ def test_evaluate_invariant_to_row_permutation():
     r2 = evaluate(emb2, meta, subset="full", knn_k=8, seed=2)
     for name in r1.scores:
         assert r1.scores[name] == pytest.approx(r2.scores[name], abs=1e-12)
+
+
+def test_evaluate_rejects_coordinates_whose_squares_overflow():
+    emb, meta = eval_instance()
+    huge = EmbeddingMatrix(emb.cell_ids, emb.values * 1e155)
+    with pytest.raises(ValidationError, match="overflow"):
+        evaluate(huge, meta, subset="full", knn_k=8)
 
 
 def test_evaluate_single_batch_degenerate_convention():
