@@ -53,7 +53,7 @@ def _effective_config(args) -> fio.RunConfig:
     if getattr(args, "config", None):
         cfg = fio.load_config(args.config, base=cfg)
     # each override flag's dest is its config field's name
-    overrides = {key: getattr(args, name) for key, (_, name) in fio.CONFIG_KEYS.items()
+    overrides = {key: getattr(args, name) for key, (_, name, _) in fio.CONFIG_KEYS.items()
                  if getattr(args, name, None) is not None}
     try:
         return fio.config_from_dict(overrides, base=cfg)

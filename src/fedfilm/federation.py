@@ -62,10 +62,7 @@ def aggregate(client_params, mode: str, base: FilmAdapter) -> FilmAdapter:
         raise ValidationError(f"unknown aggregation mode {mode!r}")
     if not client_params:
         raise ValidationError("aggregate needs at least one client")
-    owners = []
-    gammas = []
-    betas = []
-    weights = []
+    owners, tables, weights = [], [], []
     for name, gtab, btab, n_b in client_params:
         gtab = np.asarray(gtab, dtype=np.float64)
         btab = np.asarray(btab, dtype=np.float64)
@@ -77,49 +74,46 @@ def aggregate(client_params, mode: str, base: FilmAdapter) -> FilmAdapter:
         if n_b < 1:
             raise ValidationError(f"client {name!r} has weight {n_b} < 1")
         owners.append(base.row_index(name))
-        gammas.append(gtab)
-        betas.append(btab)
+        tables.append((gtab, btab))
         weights.append(float(n_b))
     total = float(sum(weights))
     if total <= 0:
         raise ValidationError("zero total aggregation weight")
 
-    g_stack = np.stack(gammas)
-    b_stack = np.stack(betas)
+    stack = np.array(tables)  # (clients, 2, B, d): gamma and beta tables per client
+    base_tables = np.array([base.gamma, base.beta])
     if mode == "full-table":
-        w = np.array(weights)[:, None, None]
-        new_gamma = np.sum(w * g_stack, axis=0) / total
-        new_beta = np.sum(w * b_stack, axis=0) / total
-        new_gamma = np.clip(new_gamma, g_stack.min(axis=0), g_stack.max(axis=0))
-        new_beta = np.clip(new_beta, b_stack.min(axis=0), b_stack.max(axis=0))
+        w = np.array(weights)[:, None, None, None]
+        new = np.clip(np.sum(w * stack, axis=0) / total, stack.min(axis=0), stack.max(axis=0))
     else:
-        new_gamma = base.gamma.copy()
-        new_beta = base.beta.copy()
+        new = base_tables.copy()
         for ci, row in enumerate(owners):
-            new_gamma[row] = g_stack[ci, row]
-            new_beta[row] = b_stack[ci, row]
-
-    frozen_rows = [i for i, f in enumerate(base.frozen) if f]
-    if frozen_rows:
-        new_gamma[frozen_rows] = base.gamma[frozen_rows]
-        new_beta[frozen_rows] = base.beta[frozen_rows]
-    return FilmAdapter(base.batch_names, new_gamma, new_beta, base.frozen)
+            new[:, row] = stack[ci, :, row]
+    frozen_rows = np.flatnonzero(base.frozen)
+    new[:, frozen_rows] = base_tables[:, frozen_rows]
+    return FilmAdapter(base.batch_names, new[0], new[1], base.frozen)
 
 
-def pooled_targets(cell_blocks) -> dict:
+def pooled_targets(cell_blocks, reference=None) -> dict:
     """Per-client reconstruction targets on the federation's pooled moments.
 
     Each client reports only its cell count and per-coordinate mean and
     variance. The server pools them into the cell-weighted grand mean ``m``
     and the pooled within-batch variance ``v`` and returns, per batch name,
     the affine map ``(scale, shift)`` that takes the batch's own moments onto
-    ``(m, v)``. A coordinate that is constant within a batch keeps scale 1.
+    ``(m, v)``. Given a non-empty ``reference`` (batch name -> cells), the
+    server pools only the reference's moments. A coordinate that is constant
+    within a batch keeps scale 1.
     """
-    stats = {b: (len(cells), cells.mean(axis=0), cells.var(axis=0))
-             for b, cells in cell_blocks.items()}
-    total = sum(n for n, _, _ in stats.values())
-    mean = sum(n * m for n, m, _ in stats.values()) / total
-    var = sum(n * v for n, _, v in stats.values()) / total
+    def moments(blocks):
+        return {b: (len(cells), cells.mean(axis=0), cells.var(axis=0))
+                for b, cells in blocks.items()}
+
+    stats = moments(cell_blocks)
+    pool = moments(reference) if reference else stats
+    total = sum(n for n, _, _ in pool.values())
+    mean = sum(n * m for n, m, _ in pool.values()) / total
+    var = sum(n * v for n, _, v in pool.values()) / total
     targets = {}
     for b, (_, m, v) in stats.items():
         ratio = np.divide(var, v, out=np.ones_like(v), where=v > 0)
@@ -136,7 +130,9 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
     participate every round. Aggregation weights count all of a batch's
     cells in ``emb``, not only its training split; ``meta`` may cover more
     cells than ``emb``. With ``cfg.target == "pooled"`` each client's
-    target map comes from ``pooled_targets`` over the participating batches.
+    target map comes from ``pooled_targets``. Its reference is the frozen
+    batches in ``meta``, their cells corrected by their frozen rows; without
+    frozen batches the participating batches pool among themselves.
     Deterministic given inputs and ``cfg.seed``.
     """
     if init.d != emb.d:
@@ -163,7 +159,11 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
         for b in participating
     ]
     if cfg.target == "pooled":
-        targets = pooled_targets(cell_blocks)
+        # frozen batches at apply_adapter's expression: their corrected cells, bit for bit
+        frozen = {b: init.row_index(b) for b in meta.batch_names if b not in participating}
+        reference = {b: init.gamma[r] * emb.values[blocks[b]] + init.beta[r]
+                     for b, r in frozen.items()}
+        targets = pooled_targets(cell_blocks, reference)
         for state in clients:
             state.target = targets[state.batch_name]
 
@@ -243,8 +243,8 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
 
     continual: stage one trains normally and freezes its batches; later stages
     add identity rows for the newly arrived batches, train only those clients
-    with row-restricted aggregation, and reuse previously corrected
-    coordinates bit-exactly.
+    with row-restricted aggregation (a pooled target aligns them to the frozen
+    batches), and reuse previously corrected coordinates bit-exactly.
 
     Stage metrics use the scenario-safe metric subset.
     """
@@ -289,10 +289,11 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
                 fit_mode = mode
             else:
                 # Only the new clients train; row-restricted aggregation keeps
-                # the frozen reference rows untouched by construction.
+                # the frozen reference rows untouched by construction. The
+                # frozen batches' cells are the pooled target's reference.
                 adapter = adapter.with_new_batches(new_meta.batch_names)
                 fit_mode = "row-restricted"
-            adapter, log = run_federated_fit(new_emb, new_meta, cfg, adapter, mode=fit_mode)
+            adapter, log = run_federated_fit(base_emb, sub_meta, cfg, adapter, mode=fit_mode)
             coords[new_rows] = apply_adapter(new_emb, new_meta, adapter).values
             adapter = adapter.freeze(new_meta.batch_names)
             corrected = EmbeddingMatrix(cells, coords[seen_rows])

@@ -329,21 +329,30 @@ class RunConfig:
             raise ConfigError("threads must be >= 0 (0 = auto)")
 
 
+_FIELD_VALUES = {  # field annotation -> (check of a value, what the value must be)
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+}
+
 # config file key -> (True for a TrainConfig field, False for a RunConfig
-# field, field name); the key of TrainConfig.lam is "lambda"
+# field, field name, value check by the field's annotation); the key of
+# TrainConfig.lam is "lambda"
 CONFIG_KEYS = {
-    {"lam": "lambda"}.get(f.name, f.name): (cls is TrainConfig, f.name)
+    {"lam": "lambda"}.get(f.name, f.name): (cls is TrainConfig, f.name, _FIELD_VALUES[f.type])
     for cls in (TrainConfig, RunConfig) for f in fields(cls) if f.name != "train"
 }
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     return {key: getattr(cfg.train if in_train else cfg, name)
-            for key, (in_train, name) in CONFIG_KEYS.items()}
+            for key, (in_train, name, _) in CONFIG_KEYS.items()}
 
 
 def config_from_dict(doc: dict, base: RunConfig | None = None) -> RunConfig:
-    """Build a RunConfig from a flat mapping; unknown keys are an error."""
+    """Build a RunConfig from a flat mapping; unknown keys and values of the
+    wrong type are an error."""
     if base is None:
         base = RunConfig(train=TrainConfig())
     unknown = sorted(set(doc) - set(CONFIG_KEYS))
@@ -351,7 +360,9 @@ def config_from_dict(doc: dict, base: RunConfig | None = None) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     train_kwargs, run_kwargs = {}, {}
     for key, value in doc.items():
-        in_train, name = CONFIG_KEYS[key]
+        in_train, name, (valid, kind) = CONFIG_KEYS[key]
+        if not valid(value):
+            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
         (train_kwargs if in_train else run_kwargs)[name] = value
     try:
         return replace(base, train=replace(base.train, **train_kwargs), **run_kwargs)

@@ -97,8 +97,9 @@ class ClientState:
     """One batch's optimization unit.
 
     The training split is drawn once from (seed, batch index) and reused for
-    every round; Adam moment tables persist across rounds unless the config
-    says otherwise. ``target`` is the per-coordinate affine map
+    every round; the Adam moments ``m`` and ``v`` of the parameter block
+    ``[gamma_b; beta_b]`` are (2, d) arrays that persist across rounds unless
+    the config says otherwise. ``target`` is the per-coordinate affine map
     ``(scale, shift)`` from the client's cells to its reconstruction target,
     or None for the cells themselves.
     """
@@ -107,18 +108,14 @@ class ClientState:
     batch_index: int
     train_indices: np.ndarray
     holdout_indices: np.ndarray
-    m_gamma: np.ndarray = field(repr=False, default=None)
-    v_gamma: np.ndarray = field(repr=False, default=None)
-    m_beta: np.ndarray = field(repr=False, default=None)
-    v_beta: np.ndarray = field(repr=False, default=None)
+    m: np.ndarray = field(repr=False, default=None)
+    v: np.ndarray = field(repr=False, default=None)
     step: int = 0
     target: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
 
     def reset_moments(self, d: int):
-        self.m_gamma = np.zeros(d)
-        self.v_gamma = np.zeros(d)
-        self.m_beta = np.zeros(d)
-        self.v_beta = np.zeros(d)
+        self.m = np.zeros((2, d))
+        self.v = np.zeros((2, d))
         self.step = 0
 
 
@@ -188,8 +185,9 @@ def local_loss(cells, gamma_b, beta_b, anchor_gamma_b, anchor_beta_b,
 
 
 def local_gradient(cells, gamma_b, beta_b, anchor_gamma_b, anchor_beta_b,
-                   cfg: TrainConfig, target=None):
-    """Analytic gradient of the local objective w.r.t. the client's own rows.
+                   cfg: TrainConfig, target=None) -> np.ndarray:
+    """Analytic gradient of the local objective w.r.t. the client's own rows,
+    as the (2, d) block ``[d_gamma; d_beta]``.
 
     Other batches' rows are held fixed during local optimization, so their
     l2 contribution is constant and only ``2*lam*gamma_b`` / ``2*lam*beta_b``
@@ -199,28 +197,21 @@ def local_gradient(cells, gamma_b, beta_b, anchor_gamma_b, anchor_beta_b,
     cells = _check_vectors(cells, gamma_b, beta_b, anchor_gamma_b, anchor_beta_b)
     m = cells.shape[0]
     residual = _residual(cells, gamma_b, beta_b, target)
-    d_gamma = (2.0 / m) * np.sum(cells * residual, axis=0) \
-        + 2.0 * cfg.mu * (gamma_b - anchor_gamma_b) + 2.0 * cfg.lam * gamma_b
-    d_beta = (2.0 / m) * np.sum(residual, axis=0) \
-        + 2.0 * cfg.mu * (beta_b - anchor_beta_b) + 2.0 * cfg.lam * beta_b
-    return d_gamma, d_beta
+    theta = np.array([gamma_b, beta_b])
+    anchor = np.array([anchor_gamma_b, anchor_beta_b])
+    recon = np.array([np.sum(cells * residual, axis=0), np.sum(residual, axis=0)])
+    return (2.0 / m) * recon + 2.0 * cfg.mu * (theta - anchor) + 2.0 * cfg.lam * theta
 
 
-def _adam_step(state: ClientState, gamma, beta, d_gamma, d_beta, cfg: TrainConfig):
+def _adam_step(state: ClientState, theta, grad, cfg: TrainConfig):
     state.step += 1
     t = state.step
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    state.m_gamma = b1 * state.m_gamma + (1 - b1) * d_gamma
-    state.v_gamma = b2 * state.v_gamma + (1 - b2) * d_gamma * d_gamma
-    state.m_beta = b1 * state.m_beta + (1 - b1) * d_beta
-    state.v_beta = b2 * state.v_beta + (1 - b2) * d_beta * d_beta
-    mg = state.m_gamma / (1 - b1**t)
-    vg = state.v_gamma / (1 - b2**t)
-    mb = state.m_beta / (1 - b1**t)
-    vb = state.v_beta / (1 - b2**t)
-    gamma = gamma - cfg.learning_rate * mg / (np.sqrt(vg) + cfg.adam_epsilon)
-    beta = beta - cfg.learning_rate * mb / (np.sqrt(vb) + cfg.adam_epsilon)
-    return gamma, beta
+    state.m = b1 * state.m + (1 - b1) * grad
+    state.v = b2 * state.v + (1 - b2) * grad * grad
+    m_hat = state.m / (1 - b1**t)
+    v_hat = state.v / (1 - b2**t)
+    return theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
 
 
 def client_local_update(state: ClientState, client_cells, snapshot: FilmAdapter,
@@ -229,16 +220,17 @@ def client_local_update(state: ClientState, client_cells, snapshot: FilmAdapter,
 
     ``snapshot`` is the immutable round-start global adapter; its rows for
     this client are both the starting point and the proximal anchor for the
-    whole round. Returns ``(gamma_row, beta_row, train_loss, holdout_loss)``
-    where the losses are evaluated after the last epoch (holdout loss is
-    NaN when the split leaves no holdout cells).
+    whole round. The client's rows move as one (2, d) block
+    ``theta = [gamma_b; beta_b]``. Returns ``(gamma_row, beta_row,
+    train_loss, holdout_loss)`` where the losses are evaluated after the last
+    epoch (holdout loss is NaN when the split leaves no holdout cells).
     """
     cells = np.asarray(client_cells, dtype=np.float64)
     if cells.ndim != 2:
         raise ValidationError("client cells must be a 2-D matrix")
     row = snapshot.row_index(state.batch_name)
-    anchor_gamma = snapshot.gamma[row].copy()
-    anchor_beta = snapshot.beta[row].copy()
+    full = np.array([snapshot.gamma, snapshot.beta])
+    anchor = full[:, row].copy()
     if cells.shape[1] != snapshot.d:
         raise DimensionError("client cells do not match the adapter dimension")
     if len(state.train_indices) == 0:
@@ -247,8 +239,7 @@ def client_local_update(state: ClientState, client_cells, snapshot: FilmAdapter,
         state.reset_moments(snapshot.d)
 
     train = cells[state.train_indices]
-    gamma = anchor_gamma.copy()
-    beta = anchor_beta.copy()
+    theta = anchor
     for epoch in range(cfg.local_epochs):
         rng = np.random.default_rng(
             [cfg.seed, _SHUFFLE_STREAM, round_index, epoch, state.batch_index]
@@ -256,26 +247,16 @@ def client_local_update(state: ClientState, client_cells, snapshot: FilmAdapter,
         order = rng.permutation(len(train))
         for start in range(0, len(train), cfg.minibatch_size):
             zb = train[order[start:start + cfg.minibatch_size]]
-            d_gamma, d_beta = local_gradient(
-                zb, gamma, beta, anchor_gamma, anchor_beta, cfg, state.target,
-            )
-            gamma, beta = _adam_step(state, gamma, beta, d_gamma, d_beta, cfg)
+            grad = local_gradient(zb, *theta, *anchor, cfg, state.target)
+            theta = _adam_step(state, theta, grad, cfg)
 
     # Frobenius norms of the full tables with this client's row at its final
     # value; other rows sit at the round-start snapshot.
-    full_gamma = snapshot.gamma.copy()
-    full_beta = snapshot.beta.copy()
-    full_gamma[row] = gamma
-    full_beta[row] = beta
-    train_loss = local_loss(
-        train, gamma, beta, anchor_gamma, anchor_beta, full_gamma, full_beta, cfg,
-        state.target,
-    )
+    full[:, row] = theta
+    gamma, beta = theta
+    train_loss = local_loss(train, gamma, beta, *anchor, *full, cfg, state.target)
+    holdout_loss = float("nan")
     if len(state.holdout_indices):
-        holdout_loss = local_loss(
-            cells[state.holdout_indices], gamma, beta, anchor_gamma, anchor_beta,
-            full_gamma, full_beta, cfg, state.target,
-        )
-    else:
-        holdout_loss = float("nan")
+        holdout_loss = local_loss(cells[state.holdout_indices], gamma, beta, *anchor,
+                                  *full, cfg, state.target)
     return gamma, beta, train_loss, holdout_loss

@@ -360,6 +360,20 @@ def test_unknown_config_key_is_usage_error(synth_dir, tmp_path, capsys):
     assert "no_such_knob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [{"rounds": 2.5}, {"rounds": "7"}, {"seed": 1.5},
+                                 {"learning_rate": "0.1"}, {"minibatch_size": True}])
+def test_config_value_of_the_wrong_type_is_usage_error(synth_dir, tmp_path, capsys, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = run(["fit", "--embeddings", str(synth_dir / "embeddings.csv"),
+                "--metadata", str(synth_dir / "metadata.csv"),
+                "--out", str(tmp_path / "run"), "--config", str(cfg_path)])
+    assert code == 2
+    [key] = doc
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "adapter.json").exists()
+
+
 def test_help_documents_flags(capsys):
     for sub, expected_flag in [
         ("fit", "--embeddings"), ("transform", "--adapter"),

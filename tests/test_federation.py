@@ -224,6 +224,34 @@ def test_pooled_targets_edge_cases():
     assert np.all(np.isfinite(targets["a"][1]))
 
 
+def test_pooled_targets_map_clients_onto_the_reference_alone():
+    emb, meta, _ = synthetic_instance(cells_per_batch=(30, 50, 70))
+    blocks = batch_row_indices(emb, meta)
+    cells = {b: emb.values[blocks[b]] for b in meta.batch_names}
+    reference = {b: 1.5 * cells[b] + 2.0 for b in meta.batch_names[:2]}
+    targets = pooled_targets({meta.batch_names[2]: cells[meta.batch_names[2]]}, reference)
+    assert list(targets) == [meta.batch_names[2]]
+    pooled = np.vstack(list(reference.values()))
+    pooled_var = sum(len(c) * c.var(axis=0) for c in reference.values()) / len(pooled)
+    scale, shift = targets[meta.batch_names[2]]
+    moved = scale * cells[meta.batch_names[2]] + shift
+    assert np.allclose(moved.mean(axis=0), pooled.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(moved.var(axis=0), pooled_var, rtol=1e-12, atol=0)
+
+
+def test_continual_pooled_stages_align_new_batches_to_the_frozen_reference():
+    # One batch per stage: pooled among the new batches alone, each later
+    # stage's target map would be the identity and the final stage would stay
+    # at its baseline (0.1774 -> 0.1775). Aligned to the frozen reference, it
+    # corrects (0.5115).
+    emb, meta, _ = generate(SynthSpec(4, 6, 16, 600, effect_shift_sigma=1.5, seed=3))
+    plan = ScenarioPlan(mode="continual", stages=tuple((b,) for b in meta.batch_names))
+    results = run_scenario(plan, emb, meta, TrainConfig(learning_rate=0.1, target="pooled"))
+    final = results[-1]
+    assert final.report.batch > final.baseline_report.batch + 0.2
+    assert final.report.overall > final.baseline_report.overall
+
+
 def test_fit_pooled_target_approaches_its_closed_form_fixed_point():
     # Same budget as the self-target fixed-point test; each row must solve
     # its mu=0 quadratic toward the batch's cells moved onto the pooled

@@ -139,6 +139,30 @@ def test_config_defaults_and_strict_keys(tmp_path):
     assert cfg.train.rounds == 3 and cfg.aggregation_mode == "row-restricted"
 
 
+@pytest.mark.parametrize("doc, kind", [
+    ({"rounds": 2.5}, "an integer"),
+    ({"rounds": "7"}, "an integer"),
+    ({"seed": 1.5}, "an integer"),
+    ({"minibatch_size": True}, "an integer"),
+    ({"knn_k": None}, "an integer"),
+    ({"learning_rate": "0.1"}, "a number"),
+    ({"mu": False}, "a number"),
+    ({"reset_moments_per_round": 1}, "true or false"),
+    ({"target": 3}, "a string"),
+    ({"aggregation_mode": ["full-table"]}, "a string"),
+])
+def test_config_values_of_the_wrong_type_are_config_errors(doc, kind):
+    [(key, value)] = doc.items()
+    with pytest.raises(fio.ConfigError, match=re.escape(f"config key {key!r} must be {kind}")):
+        fio.config_from_dict(doc)
+
+
+def test_config_number_fields_take_integers():
+    cfg = fio.config_from_dict({"learning_rate": 1, "train_fraction": 1, "rounds": 3})
+    assert cfg.train.learning_rate == 1 and cfg.train.train_fraction == 1
+    assert cfg.train.rounds == 3
+
+
 def test_config_round_trip(tmp_path):
     cfg = fio.RunConfig(train=TrainConfig(mu=0.1, lam=0.2, rounds=4, seed=9),
                         aggregation_mode="row-restricted", knn_k=20, threads=2)

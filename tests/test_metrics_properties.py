@@ -1,12 +1,14 @@
-"""Property tests of the kNN selection, the k-means assignment and the
-evaluation report's independence from metadata row order and group names."""
+"""Property tests of the kNN selection, the k-means assignment, the kNN
+graph's equivariance under matrix row permutation and the evaluation
+report's independence from metadata row order and group names."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedfilm import CellMetadata, EmbeddingMatrix, evaluate, metrics
+from fedfilm import CellMetadata, EmbeddingMatrix, SynthSpec, evaluate, generate, metrics
 from fedfilm import io as fio
-from fedfilm.metrics import build_neighbor_graph
+from fedfilm.metrics import build_neighbor_graph, graph_connectivity, kbet_per_label, lisi
 
 from reference import assign_by_broadcast, gram_sq_dists, lexsort_knn
 
@@ -40,6 +42,28 @@ def test_neighbor_graph_equals_full_row_sort(case):
     values, k = case
     graph = build_neighbor_graph(values, k)
     assert np.array_equal(graph.neighbors, lexsort_knn(gram_sq_dists(values), k))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_neighbor_graph_is_equivariant_under_matrix_row_permutation(seed):
+    # Gaussian cells have no distance ties, so each cell keeps its neighbors
+    # in the same order. The scores built on the graph may differ in the last
+    # bits: permuting the rows renumbers the batch and label groups.
+    rng = np.random.default_rng(seed)
+    emb, meta, _ = generate(SynthSpec(3, 4, 8, tuple(rng.integers(150, 201, 3).tolist()),
+                                      seed=seed))
+    perm = rng.permutation(emb.n)
+    batches = np.array(meta.batches_for(emb))
+    labels = np.array(meta.labels_for(emb))
+    graph = build_neighbor_graph(emb.values, 15)
+    moved = build_neighbor_graph(emb.values[perm], 15)
+    # row i of the permuted matrix is cell perm[i]; map its neighbors back
+    assert np.array_equal(perm[moved.neighbors], graph.neighbors[perm])
+    assert np.allclose(lisi(moved, batches[perm]), lisi(graph, batches)[perm], rtol=0, atol=1e-12)
+    assert kbet_per_label(moved, batches[perm], labels[perm]) == pytest.approx(
+        kbet_per_label(graph, batches, labels), rel=0, abs=1e-12)
+    assert graph_connectivity(moved, labels[perm]) == pytest.approx(
+        graph_connectivity(graph, labels), rel=0, abs=1e-12)
 
 
 @st.composite
