@@ -7,7 +7,7 @@ The adapter transform is a per-batch affine map in latent space:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 
@@ -28,6 +28,28 @@ class MissingBatchError(FedfilmError):
 
 class ValidationError(FedfilmError):
     """Invalid value at construction time."""
+
+
+# a config field's annotation -> (check of a value, what the value must be);
+# bool is a subclass of int, so neither number kind takes it
+FIELD_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def field_type_problem(config) -> str | None:
+    """What is wrong with the first field of the dataclass ``config`` whose
+    value does not fit its annotation in ``FIELD_KINDS``, or None."""
+    for f in fields(config):
+        if f.type in FIELD_KINDS:
+            valid, kind = FIELD_KINDS[f.type]
+            value = getattr(config, f.name)
+            if not valid(value):
+                return f"{f.name} must be {kind}, got {value!r}"
+    return None
 
 
 def _as_readonly(values, name: str) -> np.ndarray:
@@ -321,5 +343,7 @@ def apply_adapter(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter
     sub = meta.restricted_to(emb.cell_ids)
     rows = [adapter.row_index(b) for b in sub.batch_names]
     idx = np.array(rows, dtype=np.intp)[sub.batch_codes]
-    out = adapter.gamma[idx] * emb.values + adapter.beta[idx]
+    out = adapter.gamma[idx]  # gamma * z + beta, one product table in place
+    out *= emb.values
+    out += adapter.beta[idx]
     return EmbeddingMatrix(emb.cell_ids, out)

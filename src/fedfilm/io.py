@@ -11,13 +11,16 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .core import (CellMetadata, EmbeddingMatrix, FedfilmError, FilmAdapter,
-                   ValidationError, items_at)
+from .core import (FIELD_KINDS, CellMetadata, EmbeddingMatrix, FedfilmError,
+                   FilmAdapter, ValidationError, field_type_problem, items_at)
 from .federation import AGGREGATION_MODES, RoundRecord, ScenarioPlan
 from .metrics import METRIC_SUBSETS, MetricsReport
 from .objective import TrainConfig
@@ -51,23 +54,32 @@ def _read_json(path, what: str):
         raise LoadError(f"cannot parse {what} file {path}: {exc}") from exc
 
 
-def _check_cell_id(cid: str, where: str):
+def _check_cell_id(cid: str, path, ln: int | None = None):
     if not _CELL_ID_RE.fullmatch(cid):
+        where = path if ln is None else f"{path}:{ln}"
         raise LoadError(f"{where}: cell id {cid!r} contains characters outside [A-Za-z0-9_.-]")
 
 
 # ---------------------------------------------------------------------------
 # embeddings and metadata
 
+# the CSV readers and writers never hold a file's whole text: the readers
+# read _READ_BYTES at a time, the writers write _WRITE_LINES lines at a time
+_READ_BYTES = 1 << 18
+_WRITE_LINES = 256
+
+
 def _write_rows(path, columns, cell_ids, rows):
     """Write a header ``cell_id,<columns>`` and one line per cell id: the id,
     then its row's fields. Every id is checked before anything is written."""
     path = Path(path)
     for cid in cell_ids:
-        _check_cell_id(cid, str(path))
-    lines = [",".join(["cell_id", *columns]),
-             *(cid + "," + ",".join(fields) for cid, fields in zip(cell_ids, rows))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _check_cell_id(cid, path)
+    lines = chain([",".join(["cell_id", *columns])],
+                  (cid + "," + ",".join(fields) for cid, fields in zip(cell_ids, rows)))
+    with path.open("w", encoding="utf-8") as file:
+        while block := list(islice(lines, _WRITE_LINES)):
+            file.write("\n".join(block) + "\n")
 
 
 def save_embeddings(path, emb: EmbeddingMatrix):
@@ -87,52 +99,114 @@ def save_metadata(path, meta: CellMetadata):
     _write_rows(path, list(columns), meta.cell_ids, zip(*columns.values()))
 
 
+def _decoded(path, data: bytes, first: int):
+    """The lines of ``data``, which starts at line ``first`` and ends after a
+    "\\n" or at the end of the file, with "\\r\\n" folded to "\\n", and None.
+
+    When a byte is not UTF-8: the lines before its line, and the LoadError
+    naming that line.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        good = data.rfind(b"\n", 0, exc.start) + 1
+        lines, _ = _decoded(path, data[:good], first)
+        return lines, LoadError(f"{path}:{first + len(lines)}: byte "
+                                f"{data[exc.start:exc.end]!r} is not UTF-8 ({exc.reason})")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines, None
+
+
+def _pieces(path, file):
+    """Yield the bytes of ``file``, read ``_READ_BYTES`` at a time, in pieces
+    that each end after a "\\n" or at the end of the file. No multi-byte
+    UTF-8 character contains a "\\n", so each piece decodes on its own."""
+    carried: list[bytes] = []
+    while True:
+        try:
+            block = file.read(_READ_BYTES)
+        except OSError as exc:
+            raise LoadError(f"cannot read {path}: {exc}") from exc
+        if not block:
+            break
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*carried, block[:cut]])
+            carried = []
+        carried.append(block[cut:])
+    tail = b"".join(carried)  # a last line without a "\n"
+    if tail:
+        yield tail
+
+
+def _line_blocks(path):
+    """Yield the file's lines in lists, reading it once, a piece at a time.
+
+    The bytes are decoded here rather than read in text mode: universal
+    newlines would split a line at a lone "\\r", so a cell id holding one
+    would be reported as a short row on the wrong line; "\\r\\n" still ends a
+    line. A byte that is not UTF-8 raises after the lines before it, so an
+    earlier line's fault comes first.
+    """
+    try:
+        file = open(path, "rb")
+    except OSError as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from exc
+    with file:
+        ln = 1  # the line that the next piece starts
+        for data in _pieces(path, file):
+            lines, error = _decoded(path, data, ln)
+            yield lines
+            if error:
+                raise error
+            ln += len(lines)
+
+
 def _read_rows(path, header_problem):
     """Read a comma-delimited table whose rows start with a cell id.
 
     ``header_problem(header fields)`` returns what is wrong with the header,
-    or None. Returns the header fields, the file's lines (line ``n`` is
-    ``lines[n - 1]``) and an iterator of ``(line number, fields)`` over the
-    data rows, which checks each row's width, its cell id's characters and
-    that the id is new as it reaches the row.
+    or None. Returns the header fields and an iterator of ``(line number,
+    fields)`` over the data rows, which checks each row's width, its cell
+    id's characters and that the id is new as it reaches the row. The file
+    is read once, as the iterator goes, and closed when it ends or is
+    dropped.
     """
     path = Path(path)
-    try:
-        # decode the bytes rather than read text mode: universal newlines
-        # would split a line at a lone "\r", so a cell id holding one would
-        # be reported as a short row on the wrong line; "\r\n" still ends one
-        text = path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
+    blocks = _line_blocks(path)
+    lines = chain.from_iterable(blocks)
+    header = next(lines, None)
+    if header is None:
         raise LoadError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = header.split(",")
     problem = header_problem(header)
     if problem:
+        blocks.close()
         raise LoadError(f"{path}:1: {problem}")
-    if len(lines) < 2:
+    first = next(lines, None)
+    if first is None:
         raise LoadError(f"{path}: no data rows")
 
     def rows():
         seen: set[str] = set()
-        for ln in range(2, len(lines) + 1):
-            fields = lines[ln - 1].split(",")
-            if len(fields) != len(header):
-                raise LoadError(f"{path}:{ln}: expected {len(header)} columns, "
-                                f"got {len(fields)}")
-            cid = fields[0]
-            _check_cell_id(cid, f"{path}:{ln}")
-            if cid in seen:
-                raise LoadError(f"{path}:{ln}: duplicate cell id {cid!r}")
-            seen.add(cid)
-            yield ln, fields
+        with closing(blocks):
+            for ln, line in enumerate(chain([first], lines), 2):
+                fields = line.split(",")
+                if len(fields) != len(header):
+                    raise LoadError(f"{path}:{ln}: expected {len(header)} columns, "
+                                    f"got {len(fields)}")
+                cid = fields[0]
+                _check_cell_id(cid, path, ln)
+                if cid in seen:
+                    raise LoadError(f"{path}:{ln}: duplicate cell id {cid!r}")
+                seen.add(cid)
+                yield ln, fields
 
-    return header, lines, rows()
+    return header, rows()
 
 
 def _coordinate_error(path, ln: int, fields) -> LoadError:
@@ -146,33 +220,25 @@ def _coordinate_error(path, ln: int, fields) -> LoadError:
             return LoadError(f"{path}:{ln}: non-finite coordinate {tok!r}")
 
 
-def _check_finite(path, lines, values):
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise _coordinate_error(path, row + 2, lines[row + 1].split(","))
-
-
 def load_embedding_matrix(path) -> EmbeddingMatrix:
     """Parse the delimited matrix file: header row, ``cell_id`` first, then
     numeric latent coordinates."""
-    header, lines, rows = _read_rows(path, lambda header: (
+    _, rows = _read_rows(path, lambda header: (
         None if header[0] == "cell_id" and len(header) >= 2 else
         "header must start with 'cell_id' and name at least one coordinate column"))
-    values = np.empty((len(lines) - 1, len(header) - 1))
     ids: list[str] = []
-    try:
-        for ln, fields in rows:
-            try:
-                values[len(ids)] = list(map(float, fields[1:]))
-            except ValueError:
-                raise _coordinate_error(path, ln, fields) from None
-            ids.append(fields[0])
-    except LoadError:
-        _check_finite(path, lines, values[:len(ids)])  # an earlier line's fault comes first
-        raise
-    _check_finite(path, lines, values)
-    return EmbeddingMatrix(tuple(ids), values)
+    values = array("d")  # the coordinates, row after row, grown in place
+    for ln, fields in rows:
+        try:
+            row = list(map(float, fields[1:]))
+        except ValueError:
+            raise _coordinate_error(path, ln, fields) from None
+        # a sum that is not finite holds an inf or a nan, or passed the largest float
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            raise _coordinate_error(path, ln, fields)
+        values.fromlist(row)
+        ids.append(fields[0])
+    return EmbeddingMatrix(tuple(ids), np.frombuffer(values).reshape(len(ids), -1))
 
 
 _METADATA_HEADERS = (["cell_id", "batch"], ["cell_id", "batch", "cell_type"])
@@ -181,7 +247,7 @@ _METADATA_HEADERS = (["cell_id", "batch"], ["cell_id", "batch", "cell_type"])
 def load_metadata(path) -> CellMetadata:
     """Parse the metadata file: header ``cell_id,batch[,cell_type]``; any
     other column is rejected."""
-    header, _, rows = _read_rows(path, lambda header: (
+    header, rows = _read_rows(path, lambda header: (
         None if header in _METADATA_HEADERS else "header must be 'cell_id,batch' or "
         f"'cell_id,batch,cell_type', got {','.join(header)!r}"))
     columns = tuple([] for _ in header)
@@ -317,6 +383,9 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
+        problem = field_type_problem(self)
+        if problem:
+            raise ConfigError(problem)
         if self.aggregation_mode not in AGGREGATION_MODES:
             raise ConfigError(f"unknown aggregation_mode {self.aggregation_mode!r}")
         if self.metric_subset not in METRIC_SUBSETS:
@@ -329,18 +398,11 @@ class RunConfig:
             raise ConfigError("threads must be >= 0 (0 = auto)")
 
 
-_FIELD_VALUES = {  # field annotation -> (check of a value, what the value must be)
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in (int, float), "a number"),
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "str": (lambda v: type(v) is str, "a string"),
-}
-
 # config file key -> (True for a TrainConfig field, False for a RunConfig
 # field, field name, value check by the field's annotation); the key of
 # TrainConfig.lam is "lambda"
 CONFIG_KEYS = {
-    {"lam": "lambda"}.get(f.name, f.name): (cls is TrainConfig, f.name, _FIELD_VALUES[f.type])
+    {"lam": "lambda"}.get(f.name, f.name): (cls is TrainConfig, f.name, FIELD_KINDS[f.type])
     for cls in (TrainConfig, RunConfig) for f in fields(cls) if f.name != "train"
 }
 

@@ -104,7 +104,8 @@ def _distance_sweep(values, k: int | None, codes):
     self excluded and ties broken by the lower row index, when ``k`` is
     given, and the per-cell silhouette of the grouping ``codes`` when those
     are given; the entry not asked for is None. Each block of rows has its
-    squared distances built once, into reused buffers, and feeds both.
+    squared distances built once, in place in one reused buffer, and feeds
+    both.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -124,18 +125,18 @@ def _distance_sweep(values, k: int | None, codes):
         sums = np.empty((n, len(groups)))  # total distance from each cell to each group
     sq = np.sum(values * values, axis=1)
     step = _row_block_size(n)
-    gram = np.empty((min(step, n), n))
-    d2_buf = np.empty_like(gram)
+    gram = np.empty((min(step, n), n))  # each block's squared distances, in place
+    pair_sq = np.empty((min(_CHUNK_ROWS, n), n))
     for start in range(0, n, step):
         stop = min(start + step, n)
-        # (|x|^2 + |y|^2) - (2x) @ y.T, rounded exactly as the unbuffered form
-        g = np.matmul(2.0 * values[start:stop], values.T, out=gram[:stop - start])
-        d2 = d2_buf[:stop - start]
+        d2 = np.matmul(2.0 * values[start:stop], values.T, out=gram[:stop - start])
         for lo in range(start, stop, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, stop)
             own = (np.arange(hi - lo), np.arange(lo, hi))  # each row's self entry
-            chunk = np.add(sq[lo:hi, None], sq[None, :], out=d2[lo - start:hi - start])
-            np.subtract(chunk, g[lo - start:hi - start], out=chunk)
+            # (|x|^2 + |y|^2) - (2x) @ y.T, rounded exactly as the unbuffered form
+            chunk = d2[lo - start:hi - start]
+            np.subtract(np.add(sq[lo:hi, None], sq[None, :], out=pair_sq[:hi - lo]),
+                        chunk, out=chunk)
             np.maximum(chunk, 0.0, out=chunk)
             if neighbors is not None:
                 chunk[own] = np.inf
@@ -649,10 +650,12 @@ def evaluate(emb: EmbeddingMatrix, meta: CellMetadata, subset: str = "full",
     n_batches = sub.n_batches
     n_types = len(sub.label_names)
 
-    # one distance sweep gives the kNN graph and the label silhouette together
-    k = None
-    if wanted & {"clisi_score", "ilisi_score", "kbet_per_label", "graph_connectivity"}:
-        k = min(knn_k, emb.n - 1)
+    # one distance sweep gives the kNN graph and the label silhouette together;
+    # the graph is built only for a metric that will read it
+    graph_metrics = {"clisi_score", "ilisi_score", "kbet_per_label", "graph_connectivity"}
+    if n_batches < 2:
+        graph_metrics -= set(_SINGLE_BATCH_DEFAULTS)
+    k = min(knn_k, emb.n - 1) if wanted & graph_metrics else None
     label_codes = labels if "label_asw" in wanted and n_types >= 2 else None
     graph = label_silhouette = None
     if k is not None or label_codes is not None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DimensionError, FilmAdapter, ValidationError
+from .core import DimensionError, FilmAdapter, ValidationError, field_type_problem
 
 # Stream tags keep the train/holdout split and the mini-batch shuffles on
 # independent deterministic substreams of the run seed.
@@ -66,6 +66,9 @@ class TrainConfig:
     target: str = "self"
 
     def __post_init__(self):
+        problem = field_type_problem(self)
+        if problem:
+            raise ValidationError(problem)
         if self.mu < 0 or self.lam < 0:
             raise ValidationError("mu and lambda must be >= 0")
         if self.learning_rate < 0:

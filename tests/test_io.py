@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,3 +351,125 @@ def test_adapter_document_that_is_not_an_object_is_a_load_error(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(fio.LoadError, match="expected format 'film-adapter/1', got None"):
         fio.load_adapter(p)
+
+
+def whole_file_lines(data: bytes) -> list[str]:
+    """The lines of a file read whole: decoded, "\\r\\n" folded, split at "\\n"."""
+    lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+def load_outcome(load, path):
+    """What a loader gives for ``path``: its result's fields, or its error."""
+    try:
+        result = load(path)
+    except fio.LoadError as exc:
+        return str(exc)
+    if isinstance(result, EmbeddingMatrix):
+        return result.cell_ids, result.values.tobytes()
+    return result.cell_ids, result.batch_names, result.batch_codes.tolist(), result.label_of
+
+
+SPLIT_FILES = [
+    pytest.param(b"cell_id,batch,cell_type\r\nc0,b\xc3\xa9,t\xe2\x82\xac\r\nc1,x\ry,t\r\n"
+                 b"c2,b\xc3\xa9,t\r", id="multibyte-crlf-lone-cr-no-final-newline"),
+    pytest.param(b"cell_id,batch\nc0,b\n\nc1,b\n", id="blank-line-mid-file"),
+    pytest.param(b"cell_id,z0,z1\nc0,1.0,2.0\r\nc1,3.0,4.0", id="no-final-newline"),
+    pytest.param(b"cell_id,z0,z1\nc0,1.0,2.0\nc1,3.0\n", id="short-row"),
+    pytest.param(b"cell_id,z0\nc0,abc\n", id="non-numeric"),
+    pytest.param(b"cell_id,z0\nc0,1.0\nc0,2.0\n", id="duplicate-id"),
+    pytest.param(b"cell_id,z0\nbad cell,1.0\n", id="bad-id"),
+    pytest.param(b"cell_id,z0\r\nc0,1.0\r\n\r,2.0\nc1,3.0\n", id="lone-cr-id"),
+    pytest.param(b"cell_id,z0,z1\nc0,1.0,2.0\nc8,nan,abc\nc1,3.0,4.0\nc9,abc,1.0\n",
+                 id="earlier-of-two-faults"),
+    pytest.param(b"cell_id,z0,z1\nc0,1.0,2.0\nc8,1.0,1e400\nc1,3.0,4.0\nc0,1.0,2.0\n",
+                 id="non-finite-before-duplicate"),
+]
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 3, 5])
+@pytest.mark.parametrize("content", SPLIT_FILES)
+def test_reading_in_small_blocks_gives_the_whole_file_result(tmp_path, monkeypatch,
+                                                            content, read_bytes):
+    p = tmp_path / "table.csv"
+    p.write_bytes(content)
+    whole = {load: load_outcome(load, p) for load in (fio.load_embedding_matrix,
+                                                      fio.load_metadata)}
+    monkeypatch.setattr(fio, "_READ_BYTES", read_bytes)
+    assert [line for block in fio._line_blocks(p) for line in block] == whole_file_lines(content)
+    for load, outcome in whole.items():
+        assert load_outcome(load, p) == outcome
+
+
+def test_reading_in_small_blocks_keeps_line_breaks_and_characters(tmp_path, monkeypatch):
+    p = tmp_path / "meta.csv"
+    p.write_bytes(SPLIT_FILES[0].values[0])
+    monkeypatch.setattr(fio, "_READ_BYTES", 3)
+    meta = fio.load_metadata(p)
+    assert meta.batch_of == {"c0": "bé", "c1": "x\ry", "c2": "bé"}
+    assert meta.label_of == {"c0": "t€", "c1": "t", "c2": "t\r"}
+
+
+@pytest.mark.parametrize("read_bytes", [1, 4, 1 << 18])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, monkeypatch, read_bytes):
+    monkeypatch.setattr(fio, "_READ_BYTES", read_bytes)
+    p = tmp_path / "emb.csv"
+    p.write_bytes(b"cell_id,z0\nc0,1.0\nc1,2.\xff\nc2,3.0\n")
+    with pytest.raises(fio.LoadError, match=f"^{re.escape(str(p))}:3: byte b'\\\\xff' is not UTF-8"):
+        fio.load_embedding_matrix(p)
+    # an earlier line's fault comes first
+    p.write_bytes(b"cell_id,z0\nc0,inf\nc1,2.\xff\n")
+    with pytest.raises(fio.LoadError, match=f"^{re.escape(str(p))}:2: non-finite coordinate 'inf'$"):
+        fio.load_embedding_matrix(p)
+
+
+def test_matrix_and_metadata_load_through_a_pipe(tmp_path):
+    emb, meta = random_embedding(seed=5, n=40, d=3)
+    fio.save_embeddings(tmp_path / "emb.csv", emb)
+    fio.save_metadata(tmp_path / "meta.csv", meta)
+    for name, load in (("emb.csv", fio.load_embedding_matrix), ("meta.csv", fio.load_metadata)):
+        fifo = tmp_path / f"{name}.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / name).read_bytes(),))
+        writer.start()
+        try:
+            piped = load_outcome(load, fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert piped == load_outcome(load, tmp_path / name)
+
+
+def traced_peak(call):
+    """The peak traced allocation of ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_and_saving_a_matrix_hold_a_few_copies_of_its_values(tmp_path):
+    rng = np.random.default_rng(6)
+    emb = EmbeddingMatrix(tuple(f"c{i}" for i in range(20_000)), rng.standard_normal((20_000, 32)))
+    path = tmp_path / "emb.csv"
+    assert traced_peak(lambda: fio.save_embeddings(path, emb)) <= 2 * emb.values.nbytes
+    assert traced_peak(lambda: fio.load_embedding_matrix(path)) <= 3 * emb.values.nbytes
+
+
+@pytest.mark.parametrize("field, value", [("knn_k", 2.0), ("kmeans_restarts", True),
+                                          ("threads", "1"), ("metric_subset", None)])
+def test_run_config_values_of_the_wrong_type_name_their_field(field, value):
+    with pytest.raises(fio.ConfigError, match=f"^{field} must be "):
+        fio.RunConfig(train=TrainConfig(), **{field: value})
+
+
+@pytest.mark.parametrize("write_lines", [1, 2, 3])
+def test_writing_in_small_blocks_gives_the_whole_text(tmp_path, monkeypatch, write_lines):
+    emb, _ = random_embedding(seed=7, n=7, d=2)
+    monkeypatch.setattr(fio, "_WRITE_LINES", write_lines)
+    fio.save_embeddings(tmp_path / "emb.csv", emb)
+    lines = ["cell_id,z0,z1", *(f"{cid},{a!r},{b!r}" for cid, (a, b)
+                                in zip(emb.cell_ids, emb.values.tolist()))]
+    assert (tmp_path / "emb.csv").read_bytes() == ("\n".join(lines) + "\n").encode()

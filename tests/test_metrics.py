@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -728,3 +730,39 @@ def test_evaluate_single_batch_degenerate_convention():
     report = evaluate(emb, meta, subset="scenario", knn_k=5)
     assert report.scores["batch_asw"] == 1.0
     assert report.scores["ilisi_score"] == 1.0
+
+
+@pytest.mark.parametrize("subset, reads_graph", [("scenario", False), ("full", True)])
+def test_one_batch_evaluate_builds_the_graph_only_for_a_metric_that_reads_it(
+        monkeypatch, subset, reads_graph):
+    # one batch: iLISI and kBET take their 1.0 default; cLISI (full) reads the graph
+    emb, meta = three_batch_instance(300)
+    one = CellMetadata.from_columns(list(emb.cell_ids), ["b"] * emb.n,
+                                    [meta.label_of[c] for c in emb.cell_ids])
+    sweep = metrics._distance_sweep
+    ks = []
+
+    def recording_sweep(values, k, codes):
+        ks.append(k)
+        return sweep(values, k, codes)
+
+    monkeypatch.setattr(metrics, "_distance_sweep", recording_sweep)
+    report = evaluate(emb, one, subset=subset, knn_k=15)
+    assert ks == [15 if reads_graph else None]
+    monkeypatch.setattr(metrics, "_distance_sweep",
+                        lambda values, k, codes: sweep(values, 15, codes))
+    assert evaluate(emb, one, subset=subset, knn_k=15) == report
+
+
+def test_distance_sweep_holds_one_block_of_distances():
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((1000, 8))
+    codes = rng.integers(0, 4, 1000)
+    tracemalloc.start()
+    try:
+        metrics._distance_sweep(values, 15, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert metrics._row_block_size(1000) == 1000  # one (1000, 1000) block
+    assert peak <= 1.3 * 1000 * 1000 * 8

@@ -262,3 +262,22 @@ def test_config_rejects_unknown_target():
     assert TrainConfig(target="pooled").target == "pooled"
     with pytest.raises(ValidationError, match="unknown target"):
         TrainConfig(target="global")
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("rounds", 2.5, "an integer"),
+    ("seed", 1.5, "an integer"),
+    ("minibatch_size", True, "an integer"),
+    ("learning_rate", "0.1", "a number"),
+    ("mu", False, "a number"),
+    ("reset_moments_per_round", 1, "true or false"),
+    ("target", None, "a string"),
+])
+def test_config_values_of_the_wrong_type_name_their_field(field, value, kind):
+    with pytest.raises(ValidationError, match=f"^{field} must be {kind}, got {value!r}$"):
+        TrainConfig(**{field: value})
+
+
+def test_config_number_fields_take_integers():
+    cfg = TrainConfig(learning_rate=1, train_fraction=1, mu=0)
+    assert (cfg.learning_rate, cfg.train_fraction, cfg.mu) == (1, 1, 0)
