@@ -211,6 +211,8 @@ class ScenarioPlan:
         flat = [b for group in stages for b in group]
         if len(set(flat)) != len(flat):
             raise ValidationError("stage groups must be disjoint")
+        if self.pca_components is not None and self.pca_components < 1:
+            raise ValidationError(f"pca_components must be >= 1, got {self.pca_components}")
         object.__setattr__(self, "stages", stages)
 
 
@@ -244,7 +246,8 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
     continual: stage one trains normally and freezes its batches; later stages
     add identity rows for the newly arrived batches, train only those clients
     with row-restricted aggregation (a pooled target aligns them to the frozen
-    batches), and reuse previously corrected coordinates bit-exactly.
+    batches), then correct every cell seen so far; earlier batches' rows are
+    frozen, so their corrected coordinates repeat bit-exactly.
 
     Stage metrics use the scenario-safe metric subset.
     """
@@ -263,12 +266,10 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
 
     results: list[StageResult] = []
     adapter: FilmAdapter | None = None
-    coords = np.empty((len(meta.cell_ids), data.d))  # continual: corrected coordinates by metadata row
     seen: list[str] = []
     for si, group in enumerate(plan.stages):
         seen.extend(group)
-        seen_rows = _stage_rows(meta, seen)
-        cells = items_at(meta.cell_ids, seen_rows)
+        cells = items_at(meta.cell_ids, _stage_rows(meta, seen))
         sub_meta = meta.restricted_to(cells)
         base_emb = data.subset(cells)
         if plan.mode == "cumulative":
@@ -276,27 +277,23 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
                 base_emb = pca(base_emb, plan.pca_components)
             init = identity_adapter(sub_meta.batch_names, base_emb.d)
             adapter, log = run_federated_fit(base_emb, sub_meta, cfg, init, mode=mode)
-            corrected = apply_adapter(base_emb, sub_meta, adapter)
         else:
-            new_rows = _stage_rows(meta, group)
-            if not len(new_rows):
-                raise ValidationError(f"continual stage {si} has zero new cells")
-            new_cells = items_at(meta.cell_ids, new_rows)
-            new_emb = data.subset(new_cells)
-            new_meta = meta.restricted_to(new_cells)
+            new = [b for b in sub_meta.batch_names if b in group]
             if adapter is None:
-                adapter = identity_adapter(new_meta.batch_names, data.d)
+                adapter = identity_adapter(new, data.d)
                 fit_mode = mode
             else:
                 # Only the new clients train; row-restricted aggregation keeps
                 # the frozen reference rows untouched by construction. The
                 # frozen batches' cells are the pooled target's reference.
-                adapter = adapter.with_new_batches(new_meta.batch_names)
+                adapter = adapter.with_new_batches(new)
                 fit_mode = "row-restricted"
             adapter, log = run_federated_fit(base_emb, sub_meta, cfg, adapter, mode=fit_mode)
-            coords[new_rows] = apply_adapter(new_emb, new_meta, adapter).values
-            adapter = adapter.freeze(new_meta.batch_names)
-            corrected = EmbeddingMatrix(cells, coords[seen_rows])
+        # apply_adapter is row-local and frozen rows never change, so a
+        # continual stage reproduces earlier stages' coordinates bit for bit
+        corrected = apply_adapter(base_emb, sub_meta, adapter)
+        if plan.mode == "continual":
+            adapter = adapter.freeze(group)
         results.append(StageResult(si, tuple(seen), corrected, adapter,
                                    score(corrected, sub_meta), score(base_emb, sub_meta), log))
     return results

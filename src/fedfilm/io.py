@@ -14,7 +14,7 @@ import re
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,23 +63,16 @@ def _check_cell_id(cid: str, path, ln: int | None = None):
 # ---------------------------------------------------------------------------
 # embeddings and metadata
 
-# the CSV readers and writers never hold a file's whole text: the readers
-# read _READ_BYTES at a time, the writers write _WRITE_LINES lines at a time
-_READ_BYTES = 1 << 18
-_WRITE_LINES = 256
-
-
 def _write_rows(path, columns, cell_ids, rows):
     """Write a header ``cell_id,<columns>`` and one line per cell id: the id,
-    then its row's fields. Every id is checked before anything is written."""
+    then its row's fields. Every id is checked before anything is written;
+    the lines go through the text stream's buffer, never joined whole."""
     path = Path(path)
     for cid in cell_ids:
         _check_cell_id(cid, path)
-    lines = chain([",".join(["cell_id", *columns])],
-                  (cid + "," + ",".join(fields) for cid, fields in zip(cell_ids, rows)))
-    with path.open("w", encoding="utf-8") as file:
-        while block := list(islice(lines, _WRITE_LINES)):
-            file.write("\n".join(block) + "\n")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(",".join(["cell_id", *columns]) + "\n")
+        file.writelines(f"{cid},{','.join(fields)}\n" for cid, fields in zip(cell_ids, rows))
 
 
 def save_embeddings(path, emb: EmbeddingMatrix):
@@ -87,83 +80,45 @@ def save_embeddings(path, emb: EmbeddingMatrix):
                 (map(repr, row.tolist()) for row in emb.values))
 
 
-def save_metadata(path, meta: CellMetadata):
-    path = Path(path)
-    for name in meta.batch_names + (meta.label_names or ()):
+def _check_names(path, names):
+    """Raise before anything is written when a batch or cell type name could
+    not be read back as one CSV field."""
+    for name in names:
         if _BAD_NAME_RE.search(name):
-            raise LoadError(f"{path}: batch or cell type name {name!r} is empty "
+            raise LoadError(f"{Path(path)}: batch or cell type name {name!r} is empty "
                             "or contains a comma or a line break")
+
+
+def save_metadata(path, meta: CellMetadata):
+    _check_names(path, meta.batch_names + (meta.label_names or ()))
     columns = {"batch": items_at(meta.batch_names, meta.batch_codes)}
     if meta.label_codes is not None:
         columns["cell_type"] = items_at(meta.label_names, meta.label_codes)
     _write_rows(path, list(columns), meta.cell_ids, zip(*columns.values()))
 
 
-def _decoded(path, data: bytes, first: int):
-    """The lines of ``data``, which starts at line ``first`` and ends after a
-    "\\n" or at the end of the file, with "\\r\\n" folded to "\\n", and None.
+def _lines(path):
+    """Yield ``(line number, line)`` for the file's lines, read once through
+    a buffered text stream, with a "\\r\\n" ending folded.
 
-    When a byte is not UTF-8: the lines before its line, and the LoadError
-    naming that line.
+    Only "\\n" ends a line: a lone "\\r" stays in its line, so a cell id
+    holding one is a bad id on its own line. A byte that is not UTF-8
+    raises after the lines before it, so an earlier line's fault comes first.
     """
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        good = data.rfind(b"\n", 0, exc.start) + 1
-        lines, _ = _decoded(path, data[:good], first)
-        return lines, LoadError(f"{path}:{first + len(lines)}: byte "
-                                f"{data[exc.start:exc.end]!r} is not UTF-8 ({exc.reason})")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines, None
-
-
-def _pieces(path, file):
-    """Yield the bytes of ``file``, read ``_READ_BYTES`` at a time, in pieces
-    that each end after a "\\n" or at the end of the file. No multi-byte
-    UTF-8 character contains a "\\n", so each piece decodes on its own."""
-    carried: list[bytes] = []
-    while True:
-        try:
-            block = file.read(_READ_BYTES)
-        except OSError as exc:
-            raise LoadError(f"cannot read {path}: {exc}") from exc
-        if not block:
-            break
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield b"".join([*carried, block[:cut]])
-            carried = []
-        carried.append(block[cut:])
-    tail = b"".join(carried)  # a last line without a "\n"
-    if tail:
-        yield tail
-
-
-def _line_blocks(path):
-    """Yield the file's lines in lists, reading it once, a piece at a time.
-
-    The bytes are decoded here rather than read in text mode: universal
-    newlines would split a line at a lone "\\r", so a cell id holding one
-    would be reported as a short row on the wrong line; "\\r\\n" still ends a
-    line. A byte that is not UTF-8 raises after the lines before it, so an
-    earlier line's fault comes first.
-    """
-    try:
-        file = open(path, "rb")
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as file:
+            for ln, line in enumerate(file, 1):
+                if not line.isascii():
+                    try:  # with its ending, as a whole-file decode would see it
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise LoadError(f"{path}:{ln}: byte {exc.object[exc.start:exc.end]!r} "
+                                        f"is not UTF-8 ({exc.reason})") from None
+                if line.endswith("\n"):
+                    line = line[:-2] if line.endswith("\r\n") else line[:-1]
+                yield ln, line
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
-    with file:
-        ln = 1  # the line that the next piece starts
-        for data in _pieces(path, file):
-            lines, error = _decoded(path, data, ln)
-            yield lines
-            if error:
-                raise error
-            ln += len(lines)
 
 
 def _read_rows(path, header_problem):
@@ -177,15 +132,14 @@ def _read_rows(path, header_problem):
     dropped.
     """
     path = Path(path)
-    blocks = _line_blocks(path)
-    lines = chain.from_iterable(blocks)
-    header = next(lines, None)
-    if header is None:
+    lines = _lines(path)
+    top = next(lines, None)
+    if top is None:
         raise LoadError(f"{path}: empty file")
-    header = header.split(",")
+    header = top[1].split(",")
     problem = header_problem(header)
     if problem:
-        blocks.close()
+        lines.close()
         raise LoadError(f"{path}:1: {problem}")
     first = next(lines, None)
     if first is None:
@@ -193,8 +147,8 @@ def _read_rows(path, header_problem):
 
     def rows():
         seen: set[str] = set()
-        with closing(blocks):
-            for ln, line in enumerate(chain([first], lines), 2):
+        with closing(lines):
+            for ln, line in chain([first], lines):
                 fields = line.split(",")
                 if len(fields) != len(header):
                     raise LoadError(f"{path}:{ln}: expected {len(header)} columns, "
@@ -448,6 +402,7 @@ def save_config(path, cfg: RunConfig):
 # training log, reports, ground truth, manifest
 
 def save_training_log(path, records: list[RoundRecord]):
+    _check_names(path, (rec.batch_name for rec in records))
     lines = ["round,client,train_loss,val_loss"]
     for rec in records:
         lines.append(f"{rec.round_index},{rec.batch_name},"

@@ -309,6 +309,21 @@ def test_scenario_plan_values_of_the_wrong_type_are_usage_errors(
     assert str(plan) in err and repr(key) in err
     assert not (tmp_path / "scen").exists()
 
+
+@pytest.mark.parametrize("data_flag", ["--features", "--embeddings"])
+def test_scenario_plan_with_pca_components_below_one_is_usage_error(
+        tmp_path, synth_dir, capsys, data_flag):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"mode": "cumulative", "stages": [["batch0"], ["batch1"]],
+                                "pca_components": 0}))
+    code = run(["scenario", "--plan", str(plan), data_flag, str(synth_dir / "embeddings.csv"),
+                "--metadata", str(synth_dir / "metadata.csv"), "--out", str(tmp_path / "scen")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(plan) in err and "pca_components must be >= 1, got 0" in err
+    assert not (tmp_path / "scen").exists()
+
+
 def test_baseline_pca_cli(tmp_path, synth_dir):
     out = tmp_path / "pca"
     code = run(["baseline-pca", "--features", str(synth_dir / "embeddings.csv"),

@@ -184,6 +184,16 @@ def test_training_log_format(tmp_path):
     assert lines[2] == "0,b2,0.25,nan"
 
 
+@pytest.mark.parametrize("name", ["x,y", "x\ny", "x\ry"])
+def test_training_log_rejects_names_it_cannot_read_back(tmp_path, name):
+    records = [RoundRecord(0, "b1", 0.5, 0.6), RoundRecord(0, name, 0.25, float("nan"))]
+    path = tmp_path / "log.csv"
+    with pytest.raises(fio.LoadError, match=f"name {re.escape(repr(name))} is empty or "
+                                            "contains a comma or a line break"):
+        fio.save_training_log(path, records)
+    assert not path.exists()
+
+
 def test_report_serialization_stable(tmp_path):
     report = MetricsReport.from_scores("scenario", {
         "kmeans_nmi": 0.5, "kmeans_ari": 0.25, "label_asw": 1.0,
@@ -284,6 +294,10 @@ def test_load_plan_rejects_wrong_json_types(tmp_path, key, value):
     pytest.param(b'{"mode": "continual", "stages": [["\xff"]]}', id="not-utf8"),
     pytest.param(b'{"mode": "sideways", "stages": [["a"]]}', id="unknown-mode"),
     pytest.param(b'{"mode": "continual", "stages": [["a"], ["a"]]}', id="overlapping-stages"),
+    pytest.param(b'{"mode": "cumulative", "stages": [["a"]], "pca_components": 0}',
+                 id="pca-components-zero"),
+    pytest.param(b'{"mode": "cumulative", "stages": [["a"]], "pca_components": -3}',
+                 id="pca-components-negative"),
 ])
 def test_load_plan_rejects_malformed_documents(tmp_path, content):
     path = tmp_path / "plan.json"
@@ -387,32 +401,77 @@ SPLIT_FILES = [
 ]
 
 
+@pytest.fixture
+def chunk_size(monkeypatch):
+    """``chunk_size(n)`` makes the text streams that fedfilm.io opens read and
+    flush ``n`` bytes at a time, so every small file splits at every byte."""
+    def set_size(size):
+        def open_in_chunks(*args, **kwargs):
+            file = open(*args, **kwargs)
+            file._CHUNK_SIZE = size
+            return file
+        monkeypatch.setattr(fio, "open", open_in_chunks, raising=False)
+    return set_size
+
+
 @pytest.mark.parametrize("read_bytes", [1, 2, 3, 5])
 @pytest.mark.parametrize("content", SPLIT_FILES)
-def test_reading_in_small_blocks_gives_the_whole_file_result(tmp_path, monkeypatch,
+def test_reading_in_small_blocks_gives_the_whole_file_result(tmp_path, chunk_size,
                                                             content, read_bytes):
     p = tmp_path / "table.csv"
     p.write_bytes(content)
     whole = {load: load_outcome(load, p) for load in (fio.load_embedding_matrix,
                                                       fio.load_metadata)}
-    monkeypatch.setattr(fio, "_READ_BYTES", read_bytes)
-    assert [line for block in fio._line_blocks(p) for line in block] == whole_file_lines(content)
+    chunk_size(read_bytes)
+    assert list(fio._lines(p)) == list(enumerate(whole_file_lines(content), 1))
     for load, outcome in whole.items():
         assert load_outcome(load, p) == outcome
 
 
-def test_reading_in_small_blocks_keeps_line_breaks_and_characters(tmp_path, monkeypatch):
+def test_reading_in_small_blocks_keeps_line_breaks_and_characters(tmp_path, chunk_size):
     p = tmp_path / "meta.csv"
     p.write_bytes(SPLIT_FILES[0].values[0])
-    monkeypatch.setattr(fio, "_READ_BYTES", 3)
+    chunk_size(3)
     meta = fio.load_metadata(p)
     assert meta.batch_of == {"c0": "bé", "c1": "x\ry", "c2": "bé"}
     assert meta.label_of == {"c0": "t€", "c1": "t", "c2": "t\r"}
 
 
+def test_a_file_of_many_chunks_reads_as_the_whole_file(tmp_path):
+    # each piece's first `cut` bytes end one 8 KiB chunk of the text stream's
+    # default reads: a character, a "\r\n" or a lone "\r" split across chunks
+    chunk = 8192
+    data = b"cell_id,batch,cell_type\n"
+    for k, (piece, cut) in enumerate([("é", 1), ("€", 1), ("€", 2), ("\r\n", 1),
+                                      ("\r", 1), ("é", 1)], 1):
+        head = f"c{k},b,t".encode()
+        filler = f"f{k},b,t".encode()
+        pad = k * chunk - cut - len(data) - len(head) - len(filler) - 1
+        data += (filler + b"p" * pad + b"\n" + head + piece.encode()
+                 + (b"" if piece.endswith("\n") else b"y\n"))
+    assert len(data) > 5 * chunk
+    p = tmp_path / "meta.csv"
+    p.write_bytes(data)
+    assert list(fio._lines(p)) == list(enumerate(whole_file_lines(data), 1))
+    meta = fio.load_metadata(p)
+    assert [meta.label_of[f"c{k}"] for k in range(1, 7)] == ["téy", "t€y", "t€y", "t",
+                                                            "t\ry", "téy"]
+
+
+def test_a_byte_that_is_not_utf8_far_into_a_file_names_its_line(tmp_path):
+    rows = [f"c{i},{i}.5" for i in range(5000)]
+    rows[4000] = "c4000,4000.\udcff"  # the byte 0xff, past many 8 KiB chunks
+    p = tmp_path / "emb.csv"
+    p.write_bytes("\n".join(["cell_id,z0", *rows, ""]).encode("utf-8", "surrogateescape"))
+    assert p.stat().st_size > 5 * 8192
+    with pytest.raises(fio.LoadError, match=f"^{re.escape(str(p))}:4002: byte b'\\\\xff' "
+                                            "is not UTF-8 \\(invalid start byte\\)$"):
+        fio.load_embedding_matrix(p)
+
+
 @pytest.mark.parametrize("read_bytes", [1, 4, 1 << 18])
-def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, monkeypatch, read_bytes):
-    monkeypatch.setattr(fio, "_READ_BYTES", read_bytes)
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, chunk_size, read_bytes):
+    chunk_size(read_bytes)
     p = tmp_path / "emb.csv"
     p.write_bytes(b"cell_id,z0\nc0,1.0\nc1,2.\xff\nc2,3.0\n")
     with pytest.raises(fio.LoadError, match=f"^{re.escape(str(p))}:3: byte b'\\\\xff' is not UTF-8"):
@@ -421,6 +480,12 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, monkeypatch, read_byte
     p.write_bytes(b"cell_id,z0\nc0,inf\nc1,2.\xff\n")
     with pytest.raises(fio.LoadError, match=f"^{re.escape(str(p))}:2: non-finite coordinate 'inf'$"):
         fio.load_embedding_matrix(p)
+    # a character cut by its line break, or by the end of the file
+    for data, reason in ((b"\n", "invalid continuation byte"), (b"", "unexpected end of data")):
+        p.write_bytes(b"cell_id,z0\nc0,1.0\nc1,2.\xe2\x82" + data)
+        with pytest.raises(fio.LoadError, match=re.escape(
+                f"{p}:3: byte b'\\xe2\\x82' is not UTF-8 ({reason})")):
+            fio.load_embedding_matrix(p)
 
 
 def test_matrix_and_metadata_load_through_a_pipe(tmp_path):
@@ -466,9 +531,9 @@ def test_run_config_values_of_the_wrong_type_name_their_field(field, value):
 
 
 @pytest.mark.parametrize("write_lines", [1, 2, 3])
-def test_writing_in_small_blocks_gives_the_whole_text(tmp_path, monkeypatch, write_lines):
+def test_writing_in_small_blocks_gives_the_whole_text(tmp_path, chunk_size, write_lines):
     emb, _ = random_embedding(seed=7, n=7, d=2)
-    monkeypatch.setattr(fio, "_WRITE_LINES", write_lines)
+    chunk_size(write_lines)
     fio.save_embeddings(tmp_path / "emb.csv", emb)
     lines = ["cell_id,z0,z1", *(f"{cid},{a!r},{b!r}" for cid, (a, b)
                                 in zip(emb.cell_ids, emb.values.tolist()))]
