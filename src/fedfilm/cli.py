@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import io as fio
 from .core import FedfilmError, apply_adapter, identity_adapter
-from .federation import ScenarioPlan, run_federated_fit, run_scenario
+from .federation import AGGREGATION_MODES, ScenarioPlan, run_federated_fit, run_scenario
 from .metrics import METRIC_SUBSETS, aggregate_scores, evaluate
 from .objective import TARGETS, TrainConfig
 from .synth import SynthSpec, generate, pca
@@ -39,7 +39,7 @@ def _add_config_flags(parser, *, training=True, metrics=True):
         grp.add_argument("--target", choices=TARGETS,
                          help="reconstruction target: each batch's own embedding "
                               "(self) or its embedding on the pooled moments (pooled)")
-        grp.add_argument("--aggregation-mode", choices=["full-table", "row-restricted"])
+        grp.add_argument("--aggregation-mode", choices=AGGREGATION_MODES)
         grp.add_argument("--threads", type=int, help="reserved worker cap, 0 = auto; unused")
     if metrics:
         grp.add_argument("--metric-subset", choices=sorted(METRIC_SUBSETS))
@@ -76,12 +76,12 @@ def _finish(outdir: Path, command: str, artifacts: list[str], cfg: fio.RunConfig
 
 def _cmd_fit(args) -> int:
     cfg = _effective_config(args)
-    out = _prepare_outdir(args.out)
     emb, meta = fio.load_embeddings(args.embeddings, args.metadata)
     init = fio.load_adapter(args.init_adapter) if args.init_adapter \
         else identity_adapter(meta.batch_names, emb.d)
     adapter, log = run_federated_fit(emb, meta, cfg.train, init,
                                      mode=cfg.aggregation_mode)
+    out = _prepare_outdir(args.out)
     fio.save_adapter(out / "adapter.json", adapter)
     fio.save_training_log(out / "training_log.csv", log)
     _finish(out, "fit", ["adapter.json", "training_log.csv"], cfg)
@@ -89,10 +89,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    out = _prepare_outdir(args.out)
     emb, meta = fio.load_embeddings(args.embeddings, args.metadata)
     adapter = fio.load_adapter(args.adapter)
     corrected = apply_adapter(emb, meta, adapter)
+    out = _prepare_outdir(args.out)
     fio.save_embeddings(out / "corrected_embeddings.csv", corrected)
     _finish(out, "transform", ["corrected_embeddings.csv"], None)
     return 0
@@ -115,10 +115,10 @@ def _cmd_evaluate(args) -> int:
     if not args.out:
         raise UsageError("evaluate needs --out")
     cfg = _effective_config(args)
-    out = _prepare_outdir(args.out)
     emb, meta = fio.load_embeddings(args.embeddings, args.metadata)
     report = evaluate(emb, meta, subset=cfg.metric_subset, knn_k=cfg.knn_k,
                       seed=cfg.train.seed, kmeans_restarts=cfg.kmeans_restarts)
+    out = _prepare_outdir(args.out)
     artifacts = fio.save_report(out, report)
     _finish(out, "evaluate", artifacts, cfg)
     print(f"bio={report.bio!r} batch={report.batch!r} overall={report.overall!r}")
@@ -126,7 +126,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    out = _prepare_outdir(args.out)
     spec = SynthSpec(
         n_batches=args.batches,
         n_types=args.types,
@@ -139,6 +138,7 @@ def _cmd_synth(args) -> int:
         seed=args.seed if args.seed is not None else 0,
     )
     emb, meta, truth = generate(spec)
+    out = _prepare_outdir(args.out)
     fio.save_embeddings(out / "embeddings.csv", emb)
     fio.save_metadata(out / "metadata.csv", meta)
     fio.save_ground_truth(out / "ground_truth.json", truth)
@@ -160,7 +160,6 @@ def _cmd_scenario(args) -> int:
                          "pca_components in the plan")
     if plan.mode == "continual" and args.features:
         raise UsageError("continual scenarios run on a fixed --embeddings matrix")
-    out = _prepare_outdir(args.out)
     data_path = args.features if args.features else args.embeddings
     data, meta = fio.load_embeddings(data_path, args.metadata)
     if args.embeddings and plan.pca_components is not None and plan.mode == "cumulative":
@@ -170,6 +169,7 @@ def _cmd_scenario(args) -> int:
                            knn_k=cfg.knn_k,
                            kmeans_restarts=cfg.kmeans_restarts,
                            metrics_seed=cfg.train.seed)
+    out = _prepare_outdir(args.out)
     artifacts = []
     for stage in results:
         sdir = out / f"stage{stage.stage_index}"
@@ -186,9 +186,9 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_baseline_pca(args) -> int:
-    out = _prepare_outdir(args.out)
     features = fio.load_embedding_matrix(args.features)
     emb = pca(features, args.components)
+    out = _prepare_outdir(args.out)
     fio.save_embeddings(out / "embeddings.csv", emb)
     _finish(out, "baseline-pca", ["embeddings.csv"], None)
     return 0
@@ -266,10 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"fedfilm {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except fio.ConfigError as exc:
+    except (UsageError, fio.ConfigError) as exc:
         print(f"fedfilm {args.command}: {exc}", file=sys.stderr)
         return 2
     except FedfilmError as exc:

@@ -279,18 +279,6 @@ class FilmAdapter:
                 f"batch {batch_name!r} has no adapter row"
             ) from None
 
-    def with_rows(self, updates: dict[str, tuple[np.ndarray, np.ndarray]]) -> "FilmAdapter":
-        """New adapter with (gamma_row, beta_row) replaced for the named batches."""
-        gamma = self.gamma.copy()
-        beta = self.beta.copy()
-        for name, (g, b) in updates.items():
-            i = self.row_index(name)
-            if self.frozen[i]:
-                raise ValidationError(f"batch {name!r} is frozen")
-            gamma[i] = g
-            beta[i] = b
-        return FilmAdapter(self.batch_names, gamma, beta, self.frozen)
-
     def with_new_batches(self, batch_names) -> "FilmAdapter":
         """Append identity-initialized, unfrozen rows for new batch names."""
         new = [str(b) for b in batch_names]

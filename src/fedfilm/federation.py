@@ -44,53 +44,56 @@ class RoundRecord:
     holdout_loss: float
 
 
-def aggregate(client_params, mode: str, base: FilmAdapter) -> FilmAdapter:
-    """Fold client parameter tables into the next global adapter.
+def aggregate(client_rows, mode: str, base: FilmAdapter) -> FilmAdapter:
+    """Fold the clients' adapter rows into the next global adapter.
 
-    ``client_params`` is a list of ``(batch_name, gamma_table, beta_table, n_b)``
-    with full B x d tables per client (a client edits only its own row; the
-    other rows sit at their round-start values).
+    ``client_rows`` is a list of ``(batch_name, gamma_row, beta_row, n_b)``:
+    a client submits only its own batch's rows, of shape (d,), and that batch
+    must be an unfrozen row of ``base``. Each submission stands for ``base``'s
+    tables with the client's row written in.
 
-    full-table mode takes the n_b-weighted mean of every entry across all
-    clients' tables. row-restricted mode takes each batch's row directly from
-    its owning client. Frozen rows of ``base`` pass through unchanged in both
-    modes. Every aggregated entry is clamped to the [min, max] envelope of the
-    client submissions, which makes identical submissions a bit-exact fixed
-    point and keeps weighted means inside the convex hull under rounding.
+    full-table mode takes the n_b-weighted mean of every entry across those
+    tables. row-restricted mode takes each batch's row directly from its
+    owning client. Every full-table entry is clamped to the [min, max]
+    envelope of the tables, which makes identical submissions a bit-exact
+    fixed point and keeps weighted means inside the convex hull under
+    rounding; a row that no client submits, a frozen one among them, keeps
+    its ``base`` value exactly in both modes.
     """
     if mode not in AGGREGATION_MODES:
         raise ValidationError(f"unknown aggregation mode {mode!r}")
-    if not client_params:
+    if not client_rows:
         raise ValidationError("aggregate needs at least one client")
-    owners, tables, weights = [], [], []
-    for name, gtab, btab, n_b in client_params:
-        gtab = np.asarray(gtab, dtype=np.float64)
-        btab = np.asarray(btab, dtype=np.float64)
-        if gtab.shape != (base.n_batches, base.d) or btab.shape != gtab.shape:
+    owners, blocks, weights = [], [], []
+    for name, grow, brow, n_b in client_rows:
+        grow = np.asarray(grow, dtype=np.float64)
+        brow = np.asarray(brow, dtype=np.float64)
+        if grow.shape != (base.d,) or brow.shape != grow.shape:
             raise DimensionError(
-                f"client {name!r} submitted tables of shape {gtab.shape}, "
-                f"expected {(base.n_batches, base.d)}"
+                f"client {name!r} submitted rows of shape {grow.shape} and "
+                f"{brow.shape}, expected {(base.d,)}"
             )
         if n_b < 1:
             raise ValidationError(f"client {name!r} has weight {n_b} < 1")
-        owners.append(base.row_index(name))
-        tables.append((gtab, btab))
+        row = base.row_index(name)
+        if base.frozen[row]:
+            raise ValidationError(f"batch {name!r} is frozen")
+        owners.append(row)
+        blocks.append((grow, brow))
         weights.append(float(n_b))
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValidationError("zero total aggregation weight")
 
-    stack = np.array(tables)  # (clients, 2, B, d): gamma and beta tables per client
-    base_tables = np.array([base.gamma, base.beta])
+    new = np.array([base.gamma, base.beta])  # (2, B, d)
     if mode == "full-table":
-        w = np.array(weights)[:, None, None, None]
-        new = np.clip(np.sum(w * stack, axis=0) / total, stack.min(axis=0), stack.max(axis=0))
-    else:
-        new = base_tables.copy()
+        # (clients, 2, B, d): base's tables with each client's row written in
+        stack = np.repeat(new[None], len(owners), axis=0)
         for ci, row in enumerate(owners):
-            new[:, row] = stack[ci, :, row]
-    frozen_rows = np.flatnonzero(base.frozen)
-    new[:, frozen_rows] = base_tables[:, frozen_rows]
+            stack[ci, :, row] = blocks[ci]
+        w = np.array(weights)[:, None, None, None]
+        new = np.clip(np.sum(w * stack, axis=0) / sum(weights),
+                      stack.min(axis=0), stack.max(axis=0))
+    else:
+        for row, block in zip(owners, blocks):
+            new[:, row] = block
     return FilmAdapter(base.batch_names, new[0], new[1], base.frozen)
 
 
@@ -127,12 +130,13 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
     """Run the full round loop and return ``(final adapter, training log)``.
 
     Clients are the non-frozen batches present in ``meta``; all of them
-    participate every round. Aggregation weights count all of a batch's
-    cells in ``emb``, not only its training split; ``meta`` may cover more
-    cells than ``emb``. With ``cfg.target == "pooled"`` each client's
-    target map comes from ``pooled_targets``. Its reference is the frozen
-    batches in ``meta``, their cells corrected by their frozen rows; without
-    frozen batches the participating batches pool among themselves.
+    participate every round, and each submits to ``aggregate`` only its own
+    batch's (gamma, beta) rows with its weight. Aggregation weights count
+    all of a batch's cells in ``emb``, not only its training split; ``meta``
+    may cover more cells than ``emb``. With ``cfg.target == "pooled"`` each
+    client's target map comes from ``pooled_targets``. Its reference is the
+    frozen batches in ``meta``, their cells corrected by their frozen rows;
+    without frozen batches the participating batches pool among themselves.
     Deterministic given inputs and ``cfg.seed``.
     """
     if init.d != emb.d:
@@ -181,8 +185,7 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
                     f"non-finite loss or parameters at round {t}, "
                     f"client {state.batch_name!r}"
                 )
-            tables = snapshot.with_rows({state.batch_name: (gamma_row, beta_row)})
-            contributions.append((state.batch_name, tables.gamma, tables.beta,
+            contributions.append((state.batch_name, gamma_row, beta_row,
                                   sizes[state.batch_name]))
             log.append(RoundRecord(t, state.batch_name, train_loss, holdout_loss))
         adapter = aggregate(contributions, mode, snapshot)

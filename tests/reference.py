@@ -241,3 +241,60 @@ def best_two_partition_inertia(values):
         if inertia < best[0]:
             best = (float(inertia), sel)
     return best
+
+
+def full_table_fold(client_params, mode, base):
+    """The table-based aggregation fold that ``aggregate`` replaced, kept
+    as its oracle; returns the folded ``(gamma, beta)`` tables.
+
+    ``client_params`` is a list of ``(batch_name, gamma_table, beta_table,
+    n_b)`` with full B x d tables per client. full-table mode takes the
+    n_b-weighted mean of every entry, clamped to the [min, max] envelope of
+    the submissions; row-restricted mode takes each batch's row from its
+    owning client. Frozen rows of ``base`` pass through unchanged. Only the
+    error classes and the return value differ from the original, so that
+    this module imports nothing from the package.
+    """
+    if mode not in ("full-table", "row-restricted"):
+        raise ValueError(f"unknown aggregation mode {mode!r}")
+    if not client_params:
+        raise ValueError("aggregate needs at least one client")
+    owners, tables, weights = [], [], []
+    for name, gtab, btab, n_b in client_params:
+        gtab = np.asarray(gtab, dtype=np.float64)
+        btab = np.asarray(btab, dtype=np.float64)
+        if gtab.shape != (base.n_batches, base.d) or btab.shape != gtab.shape:
+            raise ValueError(
+                f"client {name!r} submitted tables of shape {gtab.shape}, "
+                f"expected {(base.n_batches, base.d)}"
+            )
+        if n_b < 1:
+            raise ValueError(f"client {name!r} has weight {n_b} < 1")
+        owners.append(base.batch_names.index(name))
+        tables.append((gtab, btab))
+        weights.append(float(n_b))
+    total = float(sum(weights))
+    if total <= 0:
+        raise ValueError("zero total aggregation weight")
+
+    stack = np.array(tables)  # (clients, 2, B, d): gamma and beta tables per client
+    base_tables = np.array([base.gamma, base.beta])
+    if mode == "full-table":
+        w = np.array(weights)[:, None, None, None]
+        new = np.clip(np.sum(w * stack, axis=0) / total, stack.min(axis=0), stack.max(axis=0))
+    else:
+        new = base_tables.copy()
+        for ci, row in enumerate(owners):
+            new[:, row] = stack[ci, :, row]
+    frozen_rows = np.flatnonzero(base.frozen)
+    new[:, frozen_rows] = base_tables[:, frozen_rows]
+    return new[0], new[1]
+
+
+def row_tables(base, name, gamma_row, beta_row):
+    """``base``'s (gamma, beta) tables with batch ``name``'s row replaced:
+    the full tables a client that edits only its own row stands for."""
+    row = base.batch_names.index(name)
+    gamma, beta = np.array(base.gamma), np.array(base.beta)
+    gamma[row], beta[row] = gamma_row, beta_row
+    return gamma, beta

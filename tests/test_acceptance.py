@@ -28,6 +28,7 @@ from fedfilm.objective import TrainConfig, client_local_update, local_gradient, 
 from reference import (
     closed_form_minimizer,
     fd_gradient,
+    row_tables,
     slow_ari,
     slow_connectivity,
     slow_knn,
@@ -126,19 +127,19 @@ def test_c04_proximal_dominance_and_drift_monotonicity():
 def test_c05_aggregation_contract():
     single = FilmAdapter(("a",), np.zeros((1, 1)), np.zeros((1, 1)))
     # equal weights, values 2 and 4 -> 3
-    out = ff.aggregate([("a", np.array([[2.0]]), np.zeros((1, 1)), 2),
-                        ("a", np.array([[4.0]]), np.zeros((1, 1)), 2)],
+    out = ff.aggregate([("a", np.array([2.0]), np.zeros(1), 2),
+                        ("a", np.array([4.0]), np.zeros(1), 2)],
                        "full-table", single)
     assert out.gamma[0, 0] == 3.0
     # weights (1, 3), values (2, 4) -> 3.5
-    out = ff.aggregate([("a", np.array([[2.0]]), np.zeros((1, 1)), 1),
-                        ("a", np.array([[4.0]]), np.zeros((1, 1)), 3)],
+    out = ff.aggregate([("a", np.array([2.0]), np.zeros(1), 1),
+                        ("a", np.array([4.0]), np.zeros(1), 3)],
                        "full-table", single)
     assert out.gamma[0, 0] == 3.5
 
     rng = np.random.default_rng(99)
     base2 = FilmAdapter(("a", "b"), rng.uniform(0.5, 1.5, (2, 2)), rng.standard_normal((2, 2)))
-    params = [("a", base2.gamma, base2.beta, 4), ("b", base2.gamma, base2.beta, 9)]
+    params = [("a", base2.gamma[0], base2.beta[0], 4), ("b", base2.gamma[1], base2.beta[1], 9)]
     fixed = ff.aggregate(params, "full-table", base2)
     assert np.array_equal(fixed.gamma, base2.gamma) and np.array_equal(fixed.beta, base2.beta)
 
@@ -149,12 +150,14 @@ def test_c05_aggregation_contract():
                            rng.standard_normal((bsz, d)) * 10.0 ** rng.integers(-3, 4),
                            rng.standard_normal((bsz, d)))
         params = [(f"b{int(rng.integers(bsz))}",
-                   rng.standard_normal((bsz, d)) * 10.0 ** rng.integers(-3, 4),
-                   rng.standard_normal((bsz, d)),
+                   rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4),
+                   rng.standard_normal(d),
                    int(rng.integers(1, 100))) for _ in range(n_clients)]
         out = ff.aggregate(params, "full-table", base)
-        gs = np.stack([p[1] for p in params])
-        bs = np.stack([p[2] for p in params])
+        # each client stands for base's tables with its row written in
+        stacks = [row_tables(base, *p[:3]) for p in params]
+        gs = np.stack([g for g, _ in stacks])
+        bs = np.stack([b for _, b in stacks])
         assert np.all(out.gamma >= gs.min(axis=0)) and np.all(out.gamma <= gs.max(axis=0))
         assert np.all(out.beta >= bs.min(axis=0)) and np.all(out.beta <= bs.max(axis=0))
     verdict(5, "weighted means exact, identical submissions bit-exact, "

@@ -324,6 +324,38 @@ def test_scenario_plan_with_pca_components_below_one_is_usage_error(
     assert not (tmp_path / "scen").exists()
 
 
+MISSING = "No such file or directory: '{missing}'"
+
+
+@pytest.mark.parametrize("argv, cause", [
+    pytest.param(["fit", "--embeddings", "{missing}", "--metadata", "{meta}"],
+                 MISSING, id="fit"),
+    pytest.param(["transform", "--embeddings", "{emb}", "--metadata", "{meta}",
+                  "--adapter", "{missing}"], MISSING, id="transform"),
+    pytest.param(["evaluate", "--embeddings", "{missing}", "--metadata", "{meta}"],
+                 MISSING, id="evaluate"),
+    pytest.param(["scenario", "--plan", "{plan}", "--embeddings", "{missing}",
+                  "--metadata", "{meta}"], MISSING, id="scenario"),
+    pytest.param(["scenario", "--plan", "{plan}", "--features", "{emb}", "--metadata", "{meta}"],
+                 "components = 50 exceeds min(cells, features) = 4", id="scenario-pca-bound"),
+    pytest.param(["baseline-pca", "--features", "{missing}", "--components", "2"],
+                 MISSING, id="baseline-pca"),
+    pytest.param(["synth", "--batches", "0", "--types", "2", "--dim", "2",
+                  "--cells-per-batch", "5"], "counts and dimension must be >= 1", id="synth"),
+])
+def test_failed_command_leaves_no_out_directory(tmp_path, synth_dir, capsys, argv, cause):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"mode": "cumulative", "stages": [["batch0"], ["batch1"]],
+                                "pca_components": 50}))
+    paths = {"missing": tmp_path / "missing.csv", "plan": plan,
+             "emb": synth_dir / "embeddings.csv", "meta": synth_dir / "metadata.csv"}
+    out = tmp_path / "out"
+    code = run([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+    assert code == 1
+    assert cause.format(**paths) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_baseline_pca_cli(tmp_path, synth_dir):
     out = tmp_path / "pca"
     code = run(["baseline-pca", "--features", str(synth_dir / "embeddings.csv"),

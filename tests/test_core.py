@@ -193,15 +193,6 @@ def test_adapter_validation():
         FilmAdapter(("a",), np.array([[np.inf]]), np.array([[0.0]]))
 
 
-def test_frozen_rows_cannot_be_replaced():
-    adapter = identity_adapter(["a", "b"], 2).freeze(["a"])
-    with pytest.raises(ValidationError):
-        adapter.with_rows({"a": (np.zeros(2), np.zeros(2))})
-    updated = adapter.with_rows({"b": (np.full(2, 2.0), np.full(2, 3.0))})
-    assert updated.gamma[1].tolist() == [2.0, 2.0]
-    assert updated.frozen == (True, False)
-
-
 def test_duplicate_cell_ids_are_named_in_linear_time():
     import time
     ids = [f"c{i}" for i in range(20_000)] + ["c7", "c3", "c3"]

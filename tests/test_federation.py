@@ -13,10 +13,10 @@ from fedfilm import (
     run_federated_fit,
     run_scenario,
 )
-from fedfilm.core import ValidationError, batch_row_indices, FilmAdapter
-from fedfilm.federation import TrainingAbort, pooled_targets
+from fedfilm.core import DimensionError, MissingBatchError, ValidationError, batch_row_indices, FilmAdapter
+from fedfilm.federation import AGGREGATION_MODES, TrainingAbort, pooled_targets
 
-from reference import closed_form_minimizer
+from reference import closed_form_minimizer, full_table_fold, row_tables
 
 
 def scalar_adapter(names, values, frozen=()):
@@ -24,23 +24,16 @@ def scalar_adapter(names, values, frozen=()):
     return FilmAdapter(tuple(names), values, np.zeros_like(values), frozen)
 
 
-def tables(base, owner, value):
-    g = base.gamma.copy()
-    g[owner] = value
-    return g, base.beta.copy()
-
-
 def test_aggregate_weighted_mean_examples():
     base = scalar_adapter(["a", "b"], [0.0, 0.0])
-    # two clients, equal weight, scalar values 2 and 4 -> 3
-    params = [("a", *tables(base, 0, 2.0), 5), ("b", *tables(base, 1, 4.0), 5)]
+    # two clients, equal weight, scalar rows 2 and 4
+    params = [("a", [2.0], [0.0], 5), ("b", [4.0], [0.0], 5)]
     out = aggregate(params, "full-table", base)
     # row a: client a says 2, client b says 0 (round start), weights 5/5
     assert out.gamma[0, 0] == pytest.approx((5 * 2.0 + 5 * 0.0) / 10)
     # weights (1, 3), values (2, 4) -> 3.5 on a single shared coordinate
     single = scalar_adapter(["a"], [0.0])
-    params = [("a", np.array([[2.0]]), np.zeros((1, 1)), 1),
-              ("a", np.array([[4.0]]), np.zeros((1, 1)), 3)]
+    params = [("a", [2.0], [0.0], 1), ("a", [4.0], [0.0], 3)]
     out = aggregate(params, "full-table", single)
     assert out.gamma[0, 0] == pytest.approx(3.5)
 
@@ -48,7 +41,7 @@ def test_aggregate_weighted_mean_examples():
 def test_aggregate_identical_submissions_bit_exact():
     rng = np.random.default_rng(0)
     base = FilmAdapter(("a", "b"), rng.uniform(0.1, 2.0, (2, 3)), rng.standard_normal((2, 3)))
-    params = [("a", base.gamma, base.beta, 1), ("b", base.gamma, base.beta, 7)]
+    params = [("a", base.gamma[0], base.beta[0], 1), ("b", base.gamma[1], base.beta[1], 7)]
     out = aggregate(params, "full-table", base)
     assert np.array_equal(out.gamma, base.gamma)
     assert np.array_equal(out.beta, base.beta)
@@ -56,11 +49,9 @@ def test_aggregate_identical_submissions_bit_exact():
 
 def test_aggregate_full_table_hand_example():
     # B = 2, round-start gamma row_a = 1 everywhere; client a (n=1) updates its
-    # row to 2, client b (n=3) leaves it at 1 -> aggregated row_a = 1.25
+    # row to 2, client b (n=3) leaves row a at 1 -> aggregated row_a = 1.25
     base = identity_adapter(["a", "b"], 2)
-    ga = base.gamma.copy()
-    ga[0] = 2.0
-    params = [("a", ga, base.beta, 1), ("b", base.gamma, base.beta, 3)]
+    params = [("a", [2.0, 2.0], base.beta[0], 1), ("b", base.gamma[1], base.beta[1], 3)]
     out = aggregate(params, "full-table", base)
     assert np.allclose(out.gamma[0], 1.25)
     assert np.allclose(out.gamma[1], 1.0)
@@ -68,9 +59,7 @@ def test_aggregate_full_table_hand_example():
 
 def test_aggregate_row_restricted_takes_owner_rows():
     base = identity_adapter(["a", "b"], 1)
-    ga = base.gamma.copy(); ga[0] = 5.0
-    gb = base.gamma.copy(); gb[1] = -3.0
-    params = [("a", ga, base.beta, 1), ("b", gb, base.beta, 100)]
+    params = [("a", [5.0], [0.0], 1), ("b", [-3.0], [0.0], 100)]
     out = aggregate(params, "row-restricted", base)
     assert out.gamma[:, 0].tolist() == [5.0, -3.0]
 
@@ -87,11 +76,12 @@ def test_aggregate_convex_hull_property():
         )
         params = []
         for ci in range(n_clients):
-            params.append((f"b{ci % b}", rng.standard_normal((b, d)),
-                           rng.standard_normal((b, d)), int(rng.integers(1, 50))))
+            params.append((f"b{ci % b}", rng.standard_normal(d),
+                           rng.standard_normal(d), int(rng.integers(1, 50))))
         out = aggregate(params, "full-table", base)
-        g_stack = np.stack([p[1] for p in params])
-        b_stack = np.stack([p[2] for p in params])
+        stacks = [row_tables(base, *p[:3]) for p in params]
+        g_stack = np.stack([g for g, _ in stacks])
+        b_stack = np.stack([b for _, b in stacks])
         assert np.all(out.gamma >= g_stack.min(axis=0)) and np.all(out.gamma <= g_stack.max(axis=0))
         assert np.all(out.beta >= b_stack.min(axis=0)) and np.all(out.beta <= b_stack.max(axis=0))
 
@@ -101,22 +91,64 @@ def test_aggregate_errors():
     with pytest.raises(ValidationError):
         aggregate([], "full-table", base)
     with pytest.raises(ValidationError):
-        aggregate([("a", np.ones((1, 1)), np.zeros((1, 1)), 0)], "full-table", base)
-    from fedfilm.core import DimensionError
+        aggregate([("a", np.ones(1), np.zeros(1), 0)], "full-table", base)
     with pytest.raises(DimensionError):
-        aggregate([("a", np.ones((2, 1)), np.zeros((2, 1)), 1)], "full-table", base)
+        aggregate([("a", np.ones(2), np.zeros(2), 1)], "full-table", base)
+    # a client submits its own row, not the (B, d) tables
+    with pytest.raises(DimensionError, match=r"shape \(1, 1\) and \(1, 1\), expected \(1,\)"):
+        aggregate([("a", base.gamma, base.beta, 1)], "full-table", base)
+    with pytest.raises(MissingBatchError, match="'z'"):
+        aggregate([("z", np.ones(1), np.zeros(1), 1)], "full-table", base)
+
+
+def test_frozen_rows_cannot_be_replaced():
+    adapter = identity_adapter(["a", "b"], 2).freeze(["a"])
+    for mode in AGGREGATION_MODES:
+        with pytest.raises(ValidationError, match="batch 'a' is frozen"):
+            aggregate([("a", np.zeros(2), np.zeros(2), 1)], mode, adapter)
+        updated = aggregate([("b", np.full(2, 2.0), np.full(2, 3.0), 1)], mode, adapter)
+        assert updated.gamma[1].tolist() == [2.0, 2.0]
+        assert updated.frozen == (True, False)
 
 
 def test_aggregate_frozen_rows_pass_through():
     rng = np.random.default_rng(1)
     base = FilmAdapter(("a", "b"), rng.uniform(0.5, 1.5, (2, 2)),
                        rng.standard_normal((2, 2)), (True, False))
-    gb = rng.uniform(0.5, 1.5, (2, 2))
-    bb = rng.standard_normal((2, 2))
-    for mode in ("full-table", "row-restricted"):
+    gb = rng.uniform(0.5, 1.5, 2)
+    bb = rng.standard_normal(2)
+    for mode in AGGREGATION_MODES:
         out = aggregate([("b", gb, bb, 3)], mode, base)
         assert np.array_equal(out.gamma[0], base.gamma[0])
         assert np.array_equal(out.beta[0], base.beta[0])
+
+
+def test_aggregate_rows_match_the_table_fold():
+    # each client's rows fold exactly as the full tables they stand for did
+    rng = np.random.default_rng(11)
+    with_frozen = shared = 0
+    for trial in range(500):
+        bsz, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        names = tuple(f"b{i}" for i in range(bsz))
+        frozen = rng.random(bsz) < 0.4
+        frozen[int(rng.integers(bsz))] = False
+        base = FilmAdapter(names, rng.standard_normal((bsz, d)) * 10.0 ** rng.integers(-3, 4),
+                           rng.standard_normal((bsz, d)), tuple(frozen))
+        open_names = [b for b, f in zip(names, frozen) if not f]
+        rows = [(open_names[int(rng.integers(len(open_names)))],
+                 rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4),
+                 rng.standard_normal(d), int(rng.integers(1, 101)))
+                for _ in range(int(rng.integers(1, 6)))]
+        tables = [(name, *row_tables(base, name, g, b), n) for name, g, b, n in rows]
+        for mode in AGGREGATION_MODES:
+            out = aggregate(rows, mode, base)
+            gamma, beta = full_table_fold(tables, mode, base)
+            assert out.gamma.tobytes() == gamma.tobytes(), (trial, mode)
+            assert out.beta.tobytes() == beta.tobytes(), (trial, mode)
+        with_frozen += bool(frozen.any())
+        shared += len({name for name, *_ in rows}) < len(rows)
+    # the instances cover frozen rows and several clients per batch
+    assert with_frozen > 100 and shared > 100
 
 
 def synthetic_instance(**kw):
