@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except (UsageError, fio.ConfigError) as exc:
         print(f"fedfilm {args.command}: {exc}", file=sys.stderr)
         return 2
-    except FedfilmError as exc:
+    except (FedfilmError, OSError) as exc:  # OSError: an --out or output file that cannot be written
         print(f"fedfilm {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -50,7 +50,9 @@ def _write_json(path, doc):
 def _read_json(path, what: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+    except OSError as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise LoadError(f"cannot parse {what} file {path}: {exc}") from exc
 
 

@@ -151,60 +151,42 @@ def _distance_sweep(values, k: int | None, codes):
 
 
 # rows finished at a time after a block's matmul: a chunk stays in cache from
-# assembly through selection and sqrt, and argpartition's (rows, N) index
-# array stays small enough to be reused from the heap
+# assembly through selection and sqrt, and _nearest's (rows, N) candidate
+# mask stays small enough to be reused from the heap
 _CHUNK_ROWS = 32
 
 # _nearest bounds each row's k-th distance by the k-th smallest of every
 # _SAMPLE_STRIDE-th column; any stride is exact, 4 was the fastest measured
 _SAMPLE_STRIDE = 4
-# a row has about _SAMPLE_STRIDE * k candidates; past _CANDIDATE_CAP * k per
-# row on average (mass ties), sorting them costs more than partitioning the
-# full rows
-_CANDIDATE_CAP = 16
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """Each row's k smallest entries by (distance, index), as column indices.
 
     The k-th smallest of a subset of a row's columns is at least the row's
-    k-th distance, so the entries at or below it hold the k nearest and
-    every entry tied with the k-th. Sorting just those candidates by (row,
-    distance, index) gives each row's k nearest. The chunk falls back to
-    partitioning full rows when the sample has fewer than k columns, a row
-    has fewer than k candidates (nan distances) or the candidates pass the
-    cap.
+    k-th distance, so the entries not greater than it hold the k nearest
+    and every entry tied with the k-th. When the sample has fewer than k
+    columns the bound is nan, and no entry is greater than nan, so the
+    whole row is a candidate; nan entries are always candidates and sort
+    last. Every row thus has at least k candidates, and one stable sort of
+    them by (row, distance) gives each row's k nearest.
     """
     rows, n = d2.shape
     sample = d2[:, ::_SAMPLE_STRIDE]
     if sample.shape[1] >= k:
         bound = np.partition(sample, k - 1, axis=1)[:, k - 1]
-        flat = np.flatnonzero(d2 <= bound[:, None])
-        if len(flat) <= _CANDIDATE_CAP * k * rows:
-            row = flat // n
-            counts = np.bincount(row, minlength=rows)
-            if counts.min() >= k:
-                # lexsort is stable, so candidates tied in (row, distance)
-                # keep their ascending column order
-                order = np.lexsort((np.take(d2, flat), row))
-                first = np.cumsum(counts) - counts
-                return flat[order[first[:, None] + np.arange(k)]] % n
-    return _nearest_by_partition(d2, k)
-
-
-def _nearest_by_partition(d2: np.ndarray, k: int) -> np.ndarray:
-    """``_nearest`` by partitioning every full row, then resolving ties."""
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    dpart = np.take_along_axis(d2, part, axis=1)
-    nearest = np.take_along_axis(part, np.lexsort((part, dpart), axis=1), axis=1)
-    # partition picks arbitrarily among entries tied at the k-th distance;
-    # only rows with such a tie need the full candidate set
-    kth = dpart.max(axis=1)
-    tied = np.count_nonzero(d2 <= kth[:, None], axis=1) > k
-    for r in np.flatnonzero(tied):
-        cand = np.flatnonzero(d2[r] <= kth[r])
-        nearest[r] = cand[np.argsort(d2[r, cand], kind="stable")][:k]
-    return nearest
+    else:
+        bound = np.full(rows, np.nan)
+    candidate = np.greater(d2, bound[:, None])
+    np.logical_not(candidate, out=candidate)
+    flat = np.flatnonzero(candidate)
+    row = flat // n
+    counts = np.bincount(row, minlength=rows)
+    # lexsort is stable, so candidates tied in (row, distance) keep their
+    # ascending column order
+    order = np.lexsort((np.take(d2, flat), row))
+    first = np.cumsum(counts) - counts
+    return flat[order[first[:, None] + np.arange(k)]] % n
 
 
 def build_neighbor_graph(values, k: int) -> NeighborGraph:

@@ -324,7 +324,7 @@ def test_scenario_plan_with_pca_components_below_one_is_usage_error(
     assert not (tmp_path / "scen").exists()
 
 
-MISSING = "No such file or directory: '{missing}'"
+MISSING = "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"
 
 
 @pytest.mark.parametrize("argv, cause", [
@@ -332,6 +332,8 @@ MISSING = "No such file or directory: '{missing}'"
                  MISSING, id="fit"),
     pytest.param(["transform", "--embeddings", "{emb}", "--metadata", "{meta}",
                   "--adapter", "{missing}"], MISSING, id="transform"),
+    pytest.param(["fit", "--embeddings", "{emb}", "--metadata", "{meta}",
+                  "--config", "{missing}"], MISSING, id="fit-config"),
     pytest.param(["evaluate", "--embeddings", "{missing}", "--metadata", "{meta}"],
                  MISSING, id="evaluate"),
     pytest.param(["scenario", "--plan", "{plan}", "--embeddings", "{missing}",
@@ -354,6 +356,22 @@ def test_failed_command_leaves_no_out_directory(tmp_path, synth_dir, capsys, arg
     assert code == 1
     assert cause.format(**paths) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth", "--batches", "2", "--types", "2", "--dim", "2",
+                  "--cells-per-batch", "5"], id="synth"),
+    pytest.param(["fit", "--embeddings", "{emb}", "--metadata", "{meta}", "--rounds", "1"],
+                 id="fit"),
+])
+def test_out_naming_an_existing_file_is_an_error_line(tmp_path, synth_dir, capsys, argv):
+    out = tmp_path / "afile"
+    out.touch()
+    paths = {"emb": synth_dir / "embeddings.csv", "meta": synth_dir / "metadata.csv"}
+    code = run([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+    assert code == 1  # an error line, not a FileExistsError traceback
+    err = capsys.readouterr().err
+    assert err.startswith(f"fedfilm {argv[0]}: ") and str(out) in err
 
 
 def test_baseline_pca_cli(tmp_path, synth_dir):

