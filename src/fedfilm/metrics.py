@@ -215,13 +215,20 @@ def kmeans(values, k: int, seed: int, restarts: int = 10,
         raise ValidationError("k must be >= 1")
     if k > n:
         raise ValidationError(f"k = {k} exceeds the cell count {n}")
+    if restarts < 1:
+        raise ValidationError(f"k-means restarts = {restarts} must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"k-means seed = {seed} must be >= 0")
+    if not np.isfinite(values).all():
+        raise ValidationError("k-means needs finite values")
+    sq = np.einsum("ij,ij->i", values, values)  # |x|^2, shared by every restart
     best_labels = None
     best_inertia = np.inf
     for r in range(restarts):
         rng = np.random.default_rng([int(seed), _KMEANS_STREAM, r])
         centers = _kmeans_pp(values, k, rng)
-        labels, inertia = _lloyd(values, centers, max_iter, tol)
-        if inertia < best_inertia:
+        labels, inertia = _lloyd(values, sq, centers, max_iter, tol)
+        if best_labels is None or inertia < best_inertia:  # an inertia may overflow to inf
             best_inertia = inertia
             best_labels = labels
     return best_labels, float(best_inertia)
@@ -245,29 +252,95 @@ def _kmeans_pp(values, k, rng):
     return centers
 
 
-def _assign(values, centers):
-    """Nearest-center labels and squared distances, one center at a time.
+def _exact_labels(values, centers, diff):
+    """Nearest-center labels from the exact squared distances, one center at
+    a time into ``diff`` (a ``values``-shaped buffer).
 
     Each distance is the same contiguous length-d sum that a broadcast
     (n, k, d) difference tensor reduces, so the bits do not depend on how
     many centers are done at once; ties go to the first center.
     """
-    n, d = values.shape
-    d2 = np.empty((len(centers), n))
-    diff = np.empty((n, d))
+    d2 = np.empty((len(centers), len(values)))
     for c, center in enumerate(centers):
         np.subtract(values, center, out=diff)
         np.multiply(diff, diff, out=diff)
         np.sum(diff, axis=1, out=d2[c])
-    labels = np.argmin(d2, axis=0)
-    return labels, d2[labels, np.arange(n)]
+    return np.argmin(d2, axis=0)
 
 
-def _lloyd(values, centers, max_iter, tol):
+def _nearest_center(values, sq, centers, scratch):
+    """The labels ``_exact_labels`` gives, decided for most rows by one
+    matrix product; ``sq`` holds the rows' squared norms and ``scratch`` is
+    a ``values``-shaped buffer.
+
+    The product gives A = |x|^2 + |c|^2 - 2 x.c for every (row, center). With
+    u = 2^-53, eta = 2^-1074 (the subnormal spacing), S = |x|^2 + |c|^2 and
+    P = sum_i |x_i c_i| <= S / 2, and with no overflow:
+    - |x|^2, |c|^2 and x.c are d-term sums, in whatever order and with or
+      without FMA the BLAS uses, so each is off by at most gamma_d times its
+      sum of absolute terms (gamma_m = m u / (1 - m u)); the two additions
+      forming A add u each. So |A - D| <= (d + 2) u (S + 2P), to first
+      order, where D is the true squared distance.
+    - ``_exact_labels``' distance is a sum of d nonnegative rounded squares
+      of rounded differences: it is off from D by at most
+      gamma_(d+2) D <= (d + 2) u (S + 2P).
+    - Products and squares that underflow add at most eta / 2 each: about
+      2.5 d eta over both paths (a subnormal addition is exact).
+    With M = max(|x|^2, max_c |c|^2), S + 2P <= 2 S <= 4 M, so every A is
+    within 8 (d + 2) (u M + eta) of the exact distance. ``delta`` doubles
+    that for the second-order terms and the rounding of M itself. When a
+    row's smallest A beats its second smallest by more than 2 delta, every
+    other center's exact distance is above the chosen one's, so the argmin
+    agrees, ties included. ``delta`` stays finite while |x|^2 and |c|^2 do,
+    but an overflow anywhere in forming A leaves an inf or nan entry. Such
+    rows, rows whose gap is within 2 delta (or nan), and every row when
+    there is a single center take the exact loop.
+    """
+    n, d = values.shape
+    rows = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        csq = np.einsum("ij,ij->i", centers, centers)
+        approx = centers @ values.T  # (k, n): reductions over centers run along rows
+        approx *= -2.0
+        approx += sq
+        approx += csq[:, None]
+        finite = np.isfinite(approx).all(axis=0)
+        labels = np.argmin(approx, axis=0)
+        first = approx[labels, rows]
+        approx[labels, rows] = np.inf
+        gap = np.min(approx, axis=0) - first
+        delta = (16.0 * (d + 2)) * (2.0 ** -53 * np.maximum(sq, np.max(csq)) + 2.0 ** -1074)
+        exact = ~(gap > 2.0 * delta) | ~finite | (len(centers) == 1)
+    redo = np.flatnonzero(exact)
+    if len(redo):
+        labels[redo] = _exact_labels(values[redo], centers, scratch[:len(redo)])
+    return labels
+
+
+def _center_d2(values, centers, labels, buf):
+    """Exact squared distance of each row to its labeled center, computed
+    in ``buf`` with the same contiguous per-row sums as ``_exact_labels``."""
+    # mode "clip" writes straight into buf; "raise" first gathers into a copy
+    np.take(centers, labels, axis=0, out=buf, mode="clip")
+    np.subtract(values, buf, out=buf)
+    np.multiply(buf, buf, out=buf)
+    return np.sum(buf, axis=1)
+
+
+def _assign(values, sq, centers, buf):
+    """Nearest-center labels and squared distances, bit for bit those of the
+    exact per-center distances; ties go to the first center."""
+    labels = _nearest_center(values, sq, centers, buf)
+    return labels, _center_d2(values, centers, labels, buf)
+
+
+def _lloyd(values, sq, centers, max_iter, tol):
     centers = centers.copy()
     k = centers.shape[0]
+    buf = np.empty_like(values)
     for _ in range(max_iter):
-        labels, min_d2 = _assign(values, centers)
+        labels = _nearest_center(values, sq, centers, buf)
+        min_d2 = None
         new_centers = centers.copy()
         for c in range(k):
             mask = labels == c
@@ -275,12 +348,14 @@ def _lloyd(values, centers, max_iter, tol):
                 new_centers[c] = values[mask].mean(axis=0)
             else:
                 # re-seed an empty cluster at the worst-fit point
+                if min_d2 is None:
+                    min_d2 = _center_d2(values, centers, labels, buf)
                 new_centers[c] = values[int(np.argmax(min_d2))]
         shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
         centers = new_centers
         if shift < tol:
             break
-    labels, min_d2 = _assign(values, centers)
+    labels, min_d2 = _assign(values, sq, centers, buf)
     return labels, float(np.sum(min_d2))
 
 
@@ -555,6 +630,8 @@ def pcr_score(values, batches, max_components: int = 50) -> float:
         raise ValidationError("pcr needs at least two batches")
     if n <= len(batch_order):
         raise ValidationError("pcr needs more cells than batches")
+    if max_components < 1:
+        raise ValidationError(f"pcr max_components = {max_components} must be >= 1")
     centered, _, axes = principal_axes(values)
     m = min(d, max_components)
     comps = centered @ axes[:, :m]

@@ -298,3 +298,65 @@ def row_tables(base, name, gamma_row, beta_row):
     gamma, beta = np.array(base.gamma), np.array(base.beta)
     gamma[row], beta[row] = gamma_row, beta_row
     return gamma, beta
+
+
+def reference_kmeans(values, k, seed, restarts=10, max_iter=300, tol=1e-6):
+    """The k-means that the certified prefilter replaced, kept as its
+    oracle: k-means++ seeding, then Lloyd iterations that compute every
+    cell's exact squared distance to every center, one center at a time.
+    Only the error class differs from the original, so that this module
+    imports nothing from the package. Returns ``(labels, inertia)``."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    if k < 1 or k > n:
+        raise ValueError(f"k = {k} outside [1, {n}]")
+
+    def kmeans_pp(rng):
+        centers = np.empty((k, values.shape[1]))
+        centers[0] = values[int(rng.integers(n))]
+        d2 = np.sum((values - centers[0]) ** 2, axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            if total > 0:
+                idx = int(rng.choice(n, p=d2 / total))
+            else:
+                idx = int(rng.integers(n))
+            centers[j] = values[idx]
+            d2 = np.minimum(d2, np.sum((values - centers[j]) ** 2, axis=1))
+        return centers
+
+    def assign(centers):
+        d2 = np.empty((len(centers), n))
+        diff = np.empty(values.shape)
+        for c, center in enumerate(centers):
+            np.subtract(values, center, out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.sum(diff, axis=1, out=d2[c])
+        labels = np.argmin(d2, axis=0)
+        return labels, d2[labels, np.arange(n)]
+
+    def lloyd(centers):
+        centers = centers.copy()
+        for _ in range(max_iter):
+            labels, min_d2 = assign(centers)
+            new_centers = centers.copy()
+            for c in range(k):
+                mask = labels == c
+                if mask.any():
+                    new_centers[c] = values[mask].mean(axis=0)
+                else:
+                    new_centers[c] = values[int(np.argmax(min_d2))]
+            shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
+            centers = new_centers
+            if shift < tol:
+                break
+        labels, min_d2 = assign(centers)
+        return labels, float(np.sum(min_d2))
+
+    best_labels, best_inertia = None, np.inf
+    for r in range(restarts):
+        rng = np.random.default_rng([int(seed), 303, r])  # metrics._KMEANS_STREAM
+        labels, inertia = lloyd(kmeans_pp(rng))
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels, float(best_inertia)

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedfilm import CellMetadata, EmbeddingMatrix, aggregate_scores, evaluate, metrics
+from fedfilm import (CellMetadata, EmbeddingMatrix, SynthSpec, aggregate_scores, evaluate,
+                     generate, metrics)
 from fedfilm.core import ValidationError
 from fedfilm.metrics import (
     MetricsReport,
@@ -29,6 +30,7 @@ from reference import (
     best_two_partition_inertia,
     gram_sq_dists,
     lexsort_knn,
+    reference_kmeans,
     slow_ari,
     slow_connectivity,
     slow_knn,
@@ -73,6 +75,12 @@ def test_kmeans_deterministic():
 
 
 
+def assign(values, centers):
+    values = np.asarray(values, dtype=np.float64)
+    return metrics._assign(values, np.sum(values * values, axis=1),
+                           np.asarray(centers, dtype=np.float64), np.empty_like(values))
+
+
 def same_assignment(got, want):
     labels, min_d2 = got
     want_labels, want_d2 = want
@@ -85,8 +93,7 @@ def test_assign_equals_broadcast_oracle_bit_for_bit():
     for n, d, k in [(200, 1, 3), (200, 2, 5), (500, 7, 8), (300, 32, 8), (50, 130, 4)]:
         values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
         centers = values[rng.choice(n, k, replace=False)]
-        assert same_assignment(metrics._assign(values, centers),
-                               assign_by_broadcast(values, centers))
+        assert same_assignment(assign(values, centers), assign_by_broadcast(values, centers))
 
 
 def test_assign_ties_go_to_the_first_center():
@@ -94,12 +101,98 @@ def test_assign_ties_go_to_the_first_center():
     values = np.array([[0.0], [-1.0], [1.0], [0.5], [-3.0]])
     for centers in ([[1.0], [-1.0]], [[-1.0], [1.0]], [[2.0], [2.0], [-1.0], [-1.0]]):
         centers = np.array(centers)
-        got = metrics._assign(values, centers)
-        assert same_assignment(got, assign_by_broadcast(values, centers))
-    labels, _ = metrics._assign(values, np.array([[1.0], [-1.0]]))
+        assert same_assignment(assign(values, centers), assign_by_broadcast(values, centers))
+    labels, _ = assign(values, np.array([[1.0], [-1.0]]))
     assert labels[0] == 0
-    labels, _ = metrics._assign(values, np.array([[2.0], [2.0], [-1.0], [-1.0]]))
+    labels, _ = assign(values, np.array([[2.0], [2.0], [-1.0], [-1.0]]))
     assert labels.tolist() == [2, 2, 0, 0, 2]
+
+
+def bisector_cells(seed, d, copies=20):
+    """A point and its copy with the first two coordinates swapped, each
+    repeated, and cells with equal first two coordinates: those lie on the
+    bisector of the two points, where the exact distances tie to the bit
+    while the matrix product may split them by an ulp."""
+    rng = np.random.default_rng(seed)
+    point = rng.standard_normal(d) + np.eye(1, d)[0] * 3.0
+    diagonal = rng.standard_normal((40, d))
+    diagonal[:, 1] = diagonal[:, 0]
+    swapped = point[np.r_[1, 0, 2:d]]
+    return np.vstack([np.tile(point, (copies, 1)), np.tile(swapped, (copies, 1)), diagonal])
+
+
+def test_assign_on_the_bisector_of_two_centers_matches_the_oracle():
+    for seed in range(5):
+        values = bisector_cells(seed, 3, copies=1)
+        centers = values[[0, 1, 2]]  # the two swapped points, then a diagonal cell
+        got = assign(values, centers)
+        assert same_assignment(got, assign_by_broadcast(values, centers))
+        assert 1 not in got[0][2:].tolist()  # a tie goes to the first center
+
+
+def synth_values(seed, cells):
+    emb, _, _ = generate(SynthSpec(4, 8, 32, cells // 4, seed=seed, effect_shift_sigma=1.5))
+    return emb.values
+
+
+def integer_grid(seed):
+    # coordinates 0..3: every distance is an exact integer and ties are everywhere
+    return np.random.default_rng(seed).integers(0, 4, (600, 3)).astype(np.float64)
+
+
+def duplicate_points(seed):
+    # 3 distinct points: k-means++ picks duplicate centers and clusters come up empty
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((3, 4))[rng.integers(0, 3, 60)]
+
+
+def huge_clouds(seed):
+    # two clouds near 0.9e154 and 1.2e154: x.c overflows in the matrix product
+    # while every exact squared distance stays finite
+    rng = np.random.default_rng(seed)
+    near = 0.9e154 + rng.standard_normal((6, 1)) * 1e150
+    far = 1.2e154 + rng.standard_normal((6, 1)) * 1e150
+    return np.hstack([np.vstack([near, far]), np.zeros((12, 1))])
+
+
+ORACLE_CASES = (
+    [pytest.param(synth_values(s, 2500), 8, id=f"synth-2.5k-seed{s}") for s in range(4)]
+    + [pytest.param(synth_values(s, 5000), 8, id=f"synth-5k-seed{s}") for s in range(2)]
+    + [pytest.param(synth_values(0, 10000), 8, id="synth-10k-seed0")]
+    + [pytest.param(integer_grid(s), k, id=f"grid-seed{s}-k{k}") for s in range(2) for k in (2, 5)]
+    + [pytest.param(duplicate_points(s), 5, id=f"duplicates-seed{s}") for s in range(2)]
+    + [pytest.param(bisector_cells(s, 3), k, id=f"bisector-seed{s}-k{k}")
+       for s in range(2) for k in (2, 3)]
+    + [pytest.param(huge_clouds(s), 2, id=f"huge-seed{s}") for s in range(3)]
+    + [pytest.param(synth_values(1, 2500), 1, id="synth-2.5k-k1")]
+)
+
+
+@pytest.mark.parametrize("values, k", ORACLE_CASES)
+def test_kmeans_matches_the_per_center_reference(values, k):
+    want = reference_kmeans(values, k, seed=3)
+    got = kmeans(values, k, seed=3)
+    assert np.array_equal(got[0], want[0])
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+@pytest.mark.parametrize("call, cause", [
+    (lambda v, emb, meta: kmeans(v, 3, seed=0, restarts=0), "restarts = 0"),
+    (lambda v, emb, meta: kmeans(np.where(v > 1.0, np.nan, v), 3, seed=0), "finite"),
+    (lambda v, emb, meta: evaluate(emb, meta, knn_k=5, kmeans_restarts=0), "restarts = 0"),
+    (lambda v, emb, meta: evaluate(emb, meta, knn_k=5, seed=-1), "seed = -1"),
+], ids=["kmeans-restarts-0", "kmeans-nan", "evaluate-restarts-0", "evaluate-seed-minus-1"])
+def test_kmeans_arguments_that_give_no_labels_are_rejected(call, cause):
+    emb, meta = eval_instance()
+    with pytest.raises(ValidationError, match=cause):
+        call(emb.values, emb, meta)
+
+
+def test_kmeans_keeps_labels_when_the_inertia_overflows():
+    values = np.array([[1e200], [-1e200], [3e200]])
+    with np.errstate(over="ignore"):
+        labels, inertia = kmeans(values, 1, seed=0)
+    assert labels.tolist() == [0, 0, 0] and inertia == np.inf
 
 
 # ---------------------------------------------------------------- nmi / ari
@@ -514,6 +607,8 @@ def test_pcr_preconditions():
         pcr_score(rng.standard_normal((5, 2)), np.array(["a"] * 5))
     with pytest.raises(ValidationError):
         pcr_score(rng.standard_normal((2, 2)), np.array(["a", "b"]))
+    with pytest.raises(ValidationError, match="max_components = 0"):
+        pcr_score(rng.standard_normal((6, 2)), np.array(["a", "b"] * 3), max_components=0)
 
 
 # ---------------------------------------------------------------- isolated labels

@@ -19,6 +19,8 @@ FLOATS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 SMALL_INTEGERS = st.integers(0, 3).map(float)
 # each matrix draws all its entries from one of the two
 ELEMENT_KINDS = st.sampled_from([FLOATS, SMALL_INTEGERS])
+# near 1e154 squares and products overflow; multiples of 4.5e153 also tie
+HUGE = st.one_of(st.floats(-1.3e154, 1.3e154), st.integers(-3, 3).map(lambda i: i * 4.5e153))
 
 
 @st.composite
@@ -84,7 +86,8 @@ def test_nearest_equals_full_row_sort(case):
 
 @st.composite
 def values_and_centers(draw):
-    values = draw(matrices(st.integers(1, 40), st.integers(1, 40), draw(ELEMENT_KINDS)))
+    kind = draw(st.sampled_from([FLOATS, SMALL_INTEGERS, HUGE]))
+    values = draw(matrices(st.integers(1, 40), st.integers(1, 40), kind))
     n_centers = draw(st.integers(1, 6))
     picks = draw(st.lists(st.integers(0, len(values) - 1),
                           min_size=n_centers, max_size=n_centers))
@@ -95,8 +98,10 @@ def values_and_centers(draw):
 @given(values_and_centers())
 def test_assign_equals_broadcast_oracle(case):
     values, centers = case
-    labels, min_d2 = metrics._assign(values, centers)
-    want_labels, want_d2 = assign_by_broadcast(values, centers)
+    with np.errstate(over="ignore"):  # huge entries overflow both
+        labels, min_d2 = metrics._assign(values, np.sum(values * values, axis=1), centers,
+                                         np.empty_like(values))
+        want_labels, want_d2 = assign_by_broadcast(values, centers)
     assert np.array_equal(labels, want_labels)
     assert min_d2.tobytes() == want_d2.tobytes()
 
