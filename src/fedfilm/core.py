@@ -53,7 +53,12 @@ def field_type_problem(config) -> str | None:
 
 
 def _as_readonly(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+    return _checked_readonly(np.array(values, dtype=np.float64, copy=True), name)
+
+
+def _checked_readonly(arr: np.ndarray, name: str) -> np.ndarray:
+    """Check that the float64 array ``arr`` is a finite matrix of at least
+    one entry, and make it read-only."""
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -72,11 +77,23 @@ class EmbeddingMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        self._set(_as_readonly(self.values, "embedding values"))
+
+    @classmethod
+    def _adopt(cls, cell_ids, values: np.ndarray) -> "EmbeddingMatrix":
+        """A matrix that takes ``values``, a float64 array the package has
+        just built and no caller holds, without copying it; the checks are
+        the constructor's, and ``values`` becomes read-only."""
+        emb = cls.__new__(cls)
+        object.__setattr__(emb, "cell_ids", cell_ids)
+        emb._set(_checked_readonly(values, "embedding values"))
+        return emb
+
+    def _set(self, arr: np.ndarray):
         ids = tuple(str(c) for c in self.cell_ids)
         if len(set(ids)) != len(ids):
             dupes = sorted(c for c, n in Counter(ids).items() if n > 1)
             raise ValidationError(f"duplicate cell ids: {dupes[:5]}")
-        arr = _as_readonly(self.values, "embedding values")
         if arr.shape[0] != len(ids):
             raise ValidationError(
                 f"{len(ids)} cell ids but {arr.shape[0]} matrix rows"
@@ -98,7 +115,7 @@ class EmbeddingMatrix:
 
     def subset(self, cell_ids) -> "EmbeddingMatrix":
         rows = self.rows_for(cell_ids)
-        return EmbeddingMatrix(tuple(cell_ids), self.values[rows])
+        return EmbeddingMatrix._adopt(tuple(cell_ids), self.values[rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,4 +351,4 @@ def apply_adapter(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter
     out = adapter.gamma[idx]  # gamma * z + beta, one product table in place
     out *= emb.values
     out += adapter.beta[idx]
-    return EmbeddingMatrix(emb.cell_ids, out)
+    return EmbeddingMatrix._adopt(emb.cell_ids, out)

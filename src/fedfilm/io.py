@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import shutil
+import stat
+import tempfile
 from array import array
-from contextlib import closing
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +61,144 @@ def _read_json(path, what: str):
         raise LoadError(f"cannot parse {what} file {path}: {exc}") from exc
 
 
-def _check_cell_id(cid: str, path, ln: int | None = None):
+def _cell_id_problem(cid: str) -> str | None:
     if not _CELL_ID_RE.fullmatch(cid):
-        where = path if ln is None else f"{path}:{ln}"
-        raise LoadError(f"{where}: cell id {cid!r} contains characters outside [A-Za-z0-9_.-]")
+        return f"cell id {cid!r} contains characters outside [A-Za-z0-9_.-]"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# byte ranges and worker processes
+
+# The fewest bytes of CSV a range holds. On a 2-vCPU Xeon, two ranges of a
+# 32-column matrix broke even at about 0.15 MB each, reading and writing:
+# below that, forking the worker and joining its result cost what the
+# second CPU saves.
+_MIN_RANGE_BYTES = 1 << 18
+
+
+def _range_count(size: int) -> int:
+    """How many ranges ``size`` bytes of CSV are cut into: one per CPU this
+    process may run on, but none smaller than ``_MIN_RANGE_BYTES``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cpus = 1
+    return max(1, min(cpus, size // _MIN_RANGE_BYTES))
+
+
+class _Worker:
+    """A forked child process that runs ``task()`` once and sends back what
+    it returns.
+
+    ``task`` returns ``(value, raw)``: ``value`` goes back pickled, then
+    ``raw``, a buffer or None, byte for byte. An exception that ``task``
+    raises goes back in place of the value, and ``result`` raises it here.
+    The child ends through ``os._exit``, also on an interrupt, so it never
+    runs its caller's ``finally`` blocks or exit handlers and never flushes a
+    stream it inherited. It runs no BLAS call, so the fork is safe although
+    numpy's BLAS keeps threads of its own.
+    """
+
+    def __init__(self, task):
+        import pickle
+        import signal
+
+        read, write = os.pipe()
+        # an interrupt before the child is inside its try block would unwind
+        # it through its caller, so the child starts with SIGINT blocked
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+                    with os.fdopen(write, "wb") as out:
+                        try:
+                            value, raw = task()
+                            pickle.dump((True, value), out)
+                        except Exception as exc:
+                            raw = None
+                            pickle.dump((False, exc), out)
+                        if raw is not None:
+                            out.write(raw)
+                    status = 0
+                finally:
+                    os._exit(status)
+        except BaseException:
+            os.close(read)
+            raise
+        finally:
+            os.close(write)
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        self.pipe = os.fdopen(read, "rb")
+
+    def result(self):
+        """The task's value; raises the task's exception."""
+        import pickle
+
+        try:
+            ok, value = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise FedfilmError(f"worker process {self.pid} ended without a result") from None
+        if not ok:
+            raise value
+        return value
+
+    def readinto(self, buffer):
+        """Fill ``buffer`` with the raw bytes the task sent after its value."""
+        view = memoryview(buffer).cast("B")
+        if self.pipe.readinto(view) != len(view):
+            raise FedfilmError(f"worker process {self.pid} ended before sending all its data")
+
+    def close(self):
+        """Close the pipe, stop the child if it still runs and reap it."""
+        import signal
+
+        self.pipe.close()
+        os.kill(self.pid, signal.SIGKILL)  # an unreaped child keeps its pid
+        os.waitpid(self.pid, 0)
+
+
+@contextmanager
+def _workers(tasks):
+    """A started ``_Worker`` for each task, all stopped and reaped on the way
+    out, on an error or an interrupt too."""
+    workers = []
+    try:
+        for task in tasks:
+            workers.append(_Worker(task))
+        yield workers
+    finally:
+        for worker in workers:
+            worker.close()
+
+
+def _line_ranges(path) -> list:
+    """Byte offsets that cut the file at ``path`` into ``_range_count`` ranges
+    of whole lines: ``[0, cut, ..., None]``, where None is the end of the file.
+
+    The first range holds the header line and at least one line after it. A
+    file that is not a regular file, or cannot be read, is one range, whose
+    reader says what is wrong.
+    """
+    try:
+        info = os.stat(path)
+        parts = _range_count(info.st_size) if stat.S_ISREG(info.st_mode) else 1
+        cuts = [0]
+        if parts > 1:
+            with open(path, "rb") as file:
+                head = len(file.readline())
+                for i in range(1, parts):
+                    file.seek(head + i * (info.st_size - head) // parts - 1)
+                    file.readline()  # to the end of the line holding that byte
+                    if cuts[-1] < file.tell() < info.st_size:
+                        cuts.append(file.tell())
+    except OSError:
+        cuts = [0]
+    return cuts + [None]
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +206,49 @@ def _check_cell_id(cid: str, path, ln: int | None = None):
 
 def _write_rows(path, columns, cell_ids, rows):
     """Write a header ``cell_id,<columns>`` and one line per cell id: the id,
-    then its row's fields. Every id is checked before anything is written;
-    the lines go through the text stream's buffer, never joined whole."""
+    then the fields that ``rows(lo, hi)`` gives for each row from ``lo`` to
+    ``hi``. Every id is checked before anything is written.
+
+    The rows are cut into ``_range_count`` ranges of equal row count, sized
+    by the first row's line. The first range is written here; each later one
+    is formatted by a worker into an unnamed part file, which is appended in
+    order. Lines go through a text stream's buffer, never joined whole.
+    """
     path = Path(path)
     for cid in cell_ids:
-        _check_cell_id(cid, path)
-    with open(path, "w", encoding="utf-8") as file:
+        problem = _cell_id_problem(cid)
+        if problem:
+            raise LoadError(f"{path}: {problem}")
+
+    def write(file, lo, hi):
+        file.writelines(f"{cid},{','.join(fields)}\n"
+                        for cid, fields in zip(cell_ids[lo:hi], rows(lo, hi)))
+
+    def write_part(part, lo, hi):
+        with open(part.fileno(), "w", encoding="utf-8", closefd=False) as file:
+            write(file, lo, hi)
+        return None, None
+
+    n = len(cell_ids)
+    first = f"{cell_ids[0]},{','.join(next(iter(rows(0, 1))))}\n"
+    parts = _range_count(n * len(first.encode("utf-8")))
+    cuts = [i * n // parts for i in range(parts + 1)]
+    with open(path, "w", encoding="utf-8") as file, ExitStack() as stack:
         file.write(",".join(["cell_id", *columns]) + "\n")
-        file.writelines(f"{cid},{','.join(fields)}\n" for cid, fields in zip(cell_ids, rows))
+        temps = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent)) for _ in cuts[2:]]
+        with _workers(partial(write_part, *args)
+                      for args in zip(temps, cuts[1:], cuts[2:])) as workers:
+            write(file, 0, cuts[1])
+            file.flush()
+            for worker, temp in zip(workers, temps):
+                worker.result()
+                temp.seek(0)
+                shutil.copyfileobj(temp, file.buffer)
 
 
 def save_embeddings(path, emb: EmbeddingMatrix):
     _write_rows(path, [f"z{j}" for j in range(emb.d)], emb.cell_ids,
-                (map(repr, row.tolist()) for row in emb.values))
+                lambda lo, hi: (map(repr, row.tolist()) for row in emb.values[lo:hi]))
 
 
 def _check_names(path, names):
@@ -96,46 +265,99 @@ def save_metadata(path, meta: CellMetadata):
     columns = {"batch": items_at(meta.batch_names, meta.batch_codes)}
     if meta.label_codes is not None:
         columns["cell_type"] = items_at(meta.label_names, meta.label_codes)
-    _write_rows(path, list(columns), meta.cell_ids, zip(*columns.values()))
+    _write_rows(path, list(columns), meta.cell_ids,
+                lambda lo, hi: zip(*(column[lo:hi] for column in columns.values())))
 
 
-def _lines(path):
-    """Yield ``(line number, line)`` for the file's lines, read once through
-    a buffered text stream, with a "\\r\\n" ending folded.
+class _LineFault(Exception):
+    """``args``: a line number within a range and what is wrong with that
+    line; the reader adds the file and the range's place in it."""
+
+
+def _lines(path, start: int = 0, stop: int | None = None):
+    """Yield ``(line number, line)`` for the lines of the file from byte
+    ``start`` to byte ``stop`` (both line starts; None is the end of the
+    file), numbered from 1, decoded, with a "\\r\\n" ending folded.
 
     Only "\\n" ends a line: a lone "\\r" stays in its line, so a cell id
-    holding one is a bad id on its own line. A byte that is not UTF-8
-    raises after the lines before it, so an earlier line's fault comes first.
+    holding one is a bad id on its own line. A line that is not UTF-8 raises
+    ``_LineFault`` after the lines before it, so an earlier line's fault
+    comes first.
     """
+    pos = start
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as file:
-            for ln, line in enumerate(file, 1):
-                if not line.isascii():
-                    try:  # with its ending, as a whole-file decode would see it
-                        line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise LoadError(f"{path}:{ln}: byte {exc.object[exc.start:exc.end]!r} "
-                                        f"is not UTF-8 ({exc.reason})") from None
+        with open(path, "rb") as file:
+            if start:
+                file.seek(start)
+            for ln, raw in enumerate(file, 1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise _LineFault(ln, f"byte {exc.object[exc.start:exc.end]!r} "
+                                         f"is not UTF-8 ({exc.reason})") from None
                 if line.endswith("\n"):
                     line = line[:-2] if line.endswith("\r\n") else line[:-1]
                 yield ln, line
+                pos += len(raw)
+                if pos == stop:
+                    return
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_rows(path, header_problem):
-    """Read a comma-delimited table whose rows start with a cell id.
+def _parse_rows(lines, width: int, parse):
+    """Check one range's data lines and hand each line's fields to
+    ``parse``, which returns what is wrong with them, or None.
+
+    Each line must have ``width`` fields and a cell id of the allowed
+    characters that is new to the range. Returns the ids, as an
+    insertion-ordered dict, and the first fault: ``(line number, message)``,
+    or None. A line whose fault ``parse`` found keeps its id, because a
+    duplicate of an earlier range's id is the fault to report on that line.
+    """
+    ids = {}
+    with closing(lines):
+        try:
+            for ln, line in lines:
+                fields = line.split(",")
+                if len(fields) != width:
+                    return ids, (ln, f"expected {width} columns, got {len(fields)}")
+                cid = fields[0]
+                problem = _cell_id_problem(cid)
+                if problem:
+                    return ids, (ln, problem)
+                if cid in ids:
+                    return ids, (ln, f"duplicate cell id {cid!r}")
+                ids[cid] = None
+                problem = parse(fields)
+                if problem:
+                    return ids, (ln, problem)
+        except _LineFault as fault:
+            return ids, fault.args
+    return ids, None
+
+
+@contextmanager
+def _read_table(path, header_problem, parse_range):
+    """Read a comma-delimited table whose rows start with a cell id: the
+    first of its ``_line_ranges`` here, each later one in a worker.
 
     ``header_problem(header fields)`` returns what is wrong with the header,
-    or None. Returns the header fields and an iterator of ``(line number,
-    fields)`` over the data rows, which checks each row's width, its cell
-    id's characters and that the id is new as it reaches the row. The file
-    is read once, as the iterator goes, and closed when it ends or is
-    dropped.
+    or None. ``parse_range(lines, width)`` parses a range's data lines and
+    returns ``(ids, fault, value, raw)``: ``ids`` and ``fault`` as
+    ``_parse_rows`` gives them, a picklable ``value`` and a buffer ``raw``,
+    or None. Raises the first fault in file order, a duplicate of an earlier
+    range's id included, with its line number in the file. Yields the
+    header, all ids in file order, and each range's ``(value, raw)``, where
+    a later range's raw is the ``_Worker`` that holds its bytes.
     """
     path = Path(path)
-    lines = _lines(path)
-    top = next(lines, None)
+    cuts = _line_ranges(path)
+    lines = _lines(path, 0, cuts[1])
+    try:
+        top = next(lines, None)
+    except _LineFault as fault:
+        raise LoadError(f"{path}:{fault.args[0]}: {fault.args[1]}") from None
     if top is None:
         raise LoadError(f"{path}: empty file")
     header = top[1].split(",")
@@ -143,58 +365,79 @@ def _read_rows(path, header_problem):
     if problem:
         lines.close()
         raise LoadError(f"{path}:1: {problem}")
-    first = next(lines, None)
-    if first is None:
-        raise LoadError(f"{path}: no data rows")
 
-    def rows():
-        seen: set[str] = set()
-        with closing(lines):
-            for ln, line in chain([first], lines):
-                fields = line.split(",")
-                if len(fields) != len(header):
-                    raise LoadError(f"{path}:{ln}: expected {len(header)} columns, "
-                                    f"got {len(fields)}")
-                cid = fields[0]
-                _check_cell_id(cid, path, ln)
-                if cid in seen:
-                    raise LoadError(f"{path}:{ln}: duplicate cell id {cid!r}")
-                seen.add(cid)
-                yield ln, fields
+    def task(start, stop):
+        ids, fault, value, raw = parse_range(_lines(path, start, stop), len(header))
+        return (list(ids), fault, value), raw
 
-    return header, rows()
+    with _workers(partial(task, *cut) for cut in zip(cuts[1:-1], cuts[2:])) as workers:
+        seen, fault, value, raw = parse_range(lines, len(header))
+        if fault:
+            raise LoadError(f"{path}:{fault[0]}: {fault[1]}")
+        if not seen:
+            raise LoadError(f"{path}: no data rows")
+        parts = [(value, raw)]
+        offset = len(seen) + 1  # the lines before the next range, the header included
+        for worker in workers:
+            ids, fault, value = worker.result()
+            if not seen.keys().isdisjoint(ids):
+                ln, cid = next((offset + j, cid) for j, cid in enumerate(ids, 1) if cid in seen)
+                raise LoadError(f"{path}:{ln}: duplicate cell id {cid!r}")
+            if fault:
+                raise LoadError(f"{path}:{offset + fault[0]}: {fault[1]}")
+            offset += len(ids)
+            seen.update(zip(ids, repeat(None)))
+            parts.append((value, worker))
+        yield header, seen, parts
 
 
-def _coordinate_error(path, ln: int, fields) -> LoadError:
-    """The error for the first coordinate of a row that is not a finite number."""
+def _coordinate_problem(fields) -> str:
+    """What is wrong with the first coordinate of a row that is not a finite number."""
     for tok in fields[1:]:
         try:
             v = float(tok)
         except ValueError:
-            return LoadError(f"{path}:{ln}: non-numeric coordinate {tok!r}")
+            return f"non-numeric coordinate {tok!r}"
         if not math.isfinite(v):
-            return LoadError(f"{path}:{ln}: non-finite coordinate {tok!r}")
+            return f"non-finite coordinate {tok!r}"
 
 
 def load_embedding_matrix(path) -> EmbeddingMatrix:
     """Parse the delimited matrix file: header row, ``cell_id`` first, then
     numeric latent coordinates."""
-    _, rows = _read_rows(path, lambda header: (
-        None if header[0] == "cell_id" and len(header) >= 2 else
-        "header must start with 'cell_id' and name at least one coordinate column"))
-    ids: list[str] = []
-    values = array("d")  # the coordinates, row after row, grown in place
-    for ln, fields in rows:
-        try:
-            row = list(map(float, fields[1:]))
-        except ValueError:
-            raise _coordinate_error(path, ln, fields) from None
-        # a sum that is not finite holds an inf or a nan, or passed the largest float
-        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
-            raise _coordinate_error(path, ln, fields)
-        values.fromlist(row)
-        ids.append(fields[0])
-    return EmbeddingMatrix(tuple(ids), np.frombuffer(values).reshape(len(ids), -1))
+    def parse_range(lines, width):
+        values = array("d")  # the range's coordinates, row after row, grown in place
+
+        def parse(fields):
+            try:
+                row = list(map(float, fields[1:]))
+            except ValueError:
+                return _coordinate_problem(fields)
+            # a sum that is not finite holds an inf or a nan, or passed the largest float
+            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                return _coordinate_problem(fields)
+            values.fromlist(row)
+
+        ids, fault = _parse_rows(lines, width, parse)
+        return ids, fault, len(values), values
+
+    with _read_table(path, lambda header: (
+            None if header[0] == "cell_id" and len(header) >= 2 else
+            "header must start with 'cell_id' and name at least one coordinate column"),
+            parse_range) as (header, ids, parts):
+        if len(parts) == 1:
+            flat = np.frombuffer(parts[0][1])
+        else:
+            flat = np.empty(len(ids) * (len(header) - 1))
+            pos = 0
+            for count, raw in parts:
+                if isinstance(raw, _Worker):
+                    raw.readinto(flat[pos:pos + count])
+                else:
+                    flat[pos:pos + count] = raw
+                pos += count
+    del parts  # the first range's values, now copied, before the matrix checks
+    return EmbeddingMatrix._adopt(tuple(ids), flat.reshape(len(ids), -1))
 
 
 _METADATA_HEADERS = (["cell_id", "batch"], ["cell_id", "batch", "cell_type"])
@@ -203,19 +446,27 @@ _METADATA_HEADERS = (["cell_id", "batch"], ["cell_id", "batch", "cell_type"])
 def load_metadata(path) -> CellMetadata:
     """Parse the metadata file: header ``cell_id,batch[,cell_type]``; any
     other column is rejected."""
-    header, rows = _read_rows(path, lambda header: (
-        None if header in _METADATA_HEADERS else "header must be 'cell_id,batch' or "
-        f"'cell_id,batch,cell_type', got {','.join(header)!r}"))
-    columns = tuple([] for _ in header)
-    for ln, fields in rows:
-        if not fields[1]:
-            raise LoadError(f"{path}:{ln}: empty batch name")
-        if len(fields) == 3 and not fields[2]:
-            raise LoadError(f"{path}:{ln}: empty cell type (partial labels "
-                            "are not allowed)")
-        for column, field in zip(columns, fields):
-            column.append(field)
-    return CellMetadata.from_columns(*columns)
+    def parse_range(lines, width):
+        columns = tuple([] for _ in range(width - 1))
+
+        def parse(fields):
+            if not fields[1]:
+                return "empty batch name"
+            if width == 3 and not fields[2]:
+                return "empty cell type (partial labels are not allowed)"
+            for column, field in zip(columns, fields[1:]):
+                column.append(field)
+
+        ids, fault = _parse_rows(lines, width, parse)
+        return ids, fault, columns, None
+
+    with _read_table(path, lambda header: (
+            None if header in _METADATA_HEADERS else "header must be 'cell_id,batch' or "
+            f"'cell_id,batch,cell_type', got {','.join(header)!r}"),
+            parse_range) as (header, ids, parts):
+        columns = [list(chain.from_iterable(value[j] for value, _ in parts))
+                   for j in range(len(header) - 1)]
+    return CellMetadata.from_columns(ids, *columns)
 
 
 def load_embeddings(matrix_path, metadata_path):

@@ -222,49 +222,63 @@ def kmeans(values, k: int, seed: int, restarts: int = 10,
     if not np.isfinite(values).all():
         raise ValidationError("k-means needs finite values")
     sq = np.einsum("ij,ij->i", values, values)  # |x|^2, shared by every restart
+    buf = np.empty_like(values)  # the one (n, d) scratch buffer of every restart
     best_labels = None
     best_inertia = np.inf
     for r in range(restarts):
         rng = np.random.default_rng([int(seed), _KMEANS_STREAM, r])
-        centers = _kmeans_pp(values, k, rng)
-        labels, inertia = _lloyd(values, sq, centers, max_iter, tol)
+        centers = _kmeans_pp(values, k, rng, buf)
+        labels, inertia = _lloyd(values, sq, centers, max_iter, tol, buf)
         if best_labels is None or inertia < best_inertia:  # an inertia may overflow to inf
             best_inertia = inertia
             best_labels = labels
     return best_labels, float(best_inertia)
 
 
-def _kmeans_pp(values, k, rng):
+def _kmeans_pp(values, k, rng, buf):
+    """k-means++ seeding; ``buf`` is a ``values``-shaped scratch buffer.
+
+    Raises when the squared distances that weigh the draws overflow, since
+    they give no probabilities then.
+    """
     n = values.shape[0]
     centers = np.empty((k, values.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = values[first]
-    d2 = np.sum((values - centers[0]) ** 2, axis=1)
+    centers[0] = values[int(rng.integers(n))]
+    d2 = None
     for j in range(1, k):
-        total = d2.sum()
+        with np.errstate(over="ignore"):
+            step = _sq_dist(values, centers[j - 1], buf)
+            d2 = step if d2 is None else np.minimum(d2, step, out=d2)
+            total = d2.sum()
+        if not np.isfinite(total):
+            raise ValidationError("k-means++ squared distances overflow: the total "
+                                  "squared distance to the centers is not finite")
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
             # all remaining mass at distance zero (duplicate points)
             idx = int(rng.integers(n))
         centers[j] = values[idx]
-        d2 = np.minimum(d2, np.sum((values - centers[j]) ** 2, axis=1))
     return centers
+
+
+def _sq_dist(values, center, buf):
+    """Each row's exact squared distance to ``center``, formed in ``buf`` (a
+    ``values``-shaped buffer) as one contiguous length-d sum per row: the
+    sum a broadcast (n, k, d) difference tensor reduces, so the bits do not
+    depend on how many centers are done at once."""
+    np.subtract(values, center, out=buf)
+    np.multiply(buf, buf, out=buf)
+    return np.sum(buf, axis=1)
 
 
 def _exact_labels(values, centers, diff):
     """Nearest-center labels from the exact squared distances, one center at
-    a time into ``diff`` (a ``values``-shaped buffer).
-
-    Each distance is the same contiguous length-d sum that a broadcast
-    (n, k, d) difference tensor reduces, so the bits do not depend on how
-    many centers are done at once; ties go to the first center.
-    """
+    a time into ``diff`` (a ``values``-shaped buffer); ties go to the first
+    center."""
     d2 = np.empty((len(centers), len(values)))
     for c, center in enumerate(centers):
-        np.subtract(values, center, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sum(diff, axis=1, out=d2[c])
+        d2[c] = _sq_dist(values, center, diff)
     return np.argmin(d2, axis=0)
 
 
@@ -319,7 +333,7 @@ def _nearest_center(values, sq, centers, scratch):
 
 def _center_d2(values, centers, labels, buf):
     """Exact squared distance of each row to its labeled center, computed
-    in ``buf`` with the same contiguous per-row sums as ``_exact_labels``."""
+    in ``buf`` with the same contiguous per-row sums as ``_sq_dist``."""
     # mode "clip" writes straight into buf; "raise" first gathers into a copy
     np.take(centers, labels, axis=0, out=buf, mode="clip")
     np.subtract(values, buf, out=buf)
@@ -334,10 +348,9 @@ def _assign(values, sq, centers, buf):
     return labels, _center_d2(values, centers, labels, buf)
 
 
-def _lloyd(values, sq, centers, max_iter, tol):
+def _lloyd(values, sq, centers, max_iter, tol, buf):
     centers = centers.copy()
     k = centers.shape[0]
-    buf = np.empty_like(values)
     for _ in range(max_iter):
         labels = _nearest_center(values, sq, centers, buf)
         min_d2 = None

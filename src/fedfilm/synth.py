@@ -169,4 +169,4 @@ def pca(features: EmbeddingMatrix, components: int) -> EmbeddingMatrix:
         i = int(np.argmax(np.abs(axes[:, j])))
         if axes[i, j] < 0:
             axes[:, j] = -axes[:, j]
-    return EmbeddingMatrix(features.cell_ids, centered @ axes)
+    return EmbeddingMatrix._adopt(features.cell_ids, centered @ axes)

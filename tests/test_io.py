@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -403,13 +404,16 @@ SPLIT_FILES = [
 
 @pytest.fixture
 def chunk_size(monkeypatch):
-    """``chunk_size(n)`` makes the text streams that fedfilm.io opens read and
-    flush ``n`` bytes at a time, so every small file splits at every byte."""
+    """``chunk_size(n)`` makes the files that fedfilm.io reads come in reads
+    of ``n`` bytes, and its text streams flush ``n`` bytes at a time, so
+    every small file splits at every byte."""
     def set_size(size):
-        def open_in_chunks(*args, **kwargs):
-            file = open(*args, **kwargs)
-            file._CHUNK_SIZE = size
-            return file
+        def open_in_chunks(file, mode="r", **kwargs):
+            if mode == "rb":
+                return io.BufferedReader(io.FileIO(file), buffer_size=size)
+            stream = open(file, mode, **kwargs)
+            stream._CHUNK_SIZE = size
+            return stream
         monkeypatch.setattr(fio, "open", open_in_chunks, raising=False)
     return set_size
 
@@ -519,8 +523,8 @@ def test_loading_and_saving_a_matrix_hold_a_few_copies_of_its_values(tmp_path):
     rng = np.random.default_rng(6)
     emb = EmbeddingMatrix(tuple(f"c{i}" for i in range(20_000)), rng.standard_normal((20_000, 32)))
     path = tmp_path / "emb.csv"
-    assert traced_peak(lambda: fio.save_embeddings(path, emb)) <= 2 * emb.values.nbytes
-    assert traced_peak(lambda: fio.load_embedding_matrix(path)) <= 3 * emb.values.nbytes
+    assert traced_peak(lambda: fio.save_embeddings(path, emb)) <= 0.1 * emb.values.nbytes
+    assert traced_peak(lambda: fio.load_embedding_matrix(path)) <= 2 * emb.values.nbytes
 
 
 @pytest.mark.parametrize("field, value", [("knn_k", 2.0), ("kmeans_restarts", True),
@@ -538,3 +542,261 @@ def test_writing_in_small_blocks_gives_the_whole_text(tmp_path, chunk_size, writ
     lines = ["cell_id,z0,z1", *(f"{cid},{a!r},{b!r}" for cid, (a, b)
                                 in zip(emb.cell_ids, emb.values.tolist()))]
     assert (tmp_path / "emb.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """``ranges(count)`` cuts every CSV that fedfilm.io reads or writes into
+    ``count`` ranges where it has the bytes for them, as if the process
+    could run on ``count`` CPUs and one byte were enough for a range."""
+    def set_count(count):
+        monkeypatch.setattr(fio, "_MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(fio.os, "sched_getaffinity", lambda pid: set(range(count)))
+    return set_count
+
+
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """The pids of the workers that fedfilm.io starts during the test."""
+    pids = []
+    start = fio._Worker.__init__
+
+    def record(worker, task):
+        start(worker, task)  # a worker itself never returns from this
+        pids.append(worker.pid)
+
+    monkeypatch.setattr(fio._Worker, "__init__", record)
+    return pids
+
+
+def all_reaped(pids) -> bool:
+    """True when each of ``pids`` has ended and been reaped."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+def test_range_count_follows_the_affinity_mask_and_the_minimum(monkeypatch):
+    monkeypatch.setattr(fio.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    least = fio._MIN_RANGE_BYTES
+    assert [fio._range_count(size) for size in (0, 2 * least - 1, 2 * least, 100 * least)] \
+        == [1, 1, 2, 3]
+    monkeypatch.setattr(fio.os, "sched_getaffinity", lambda pid: {1})
+    assert fio._range_count(100 * least) == 1
+
+
+def test_a_large_matrix_splits_and_reads_and_writes_as_one_range(tmp_path, monkeypatch,
+                                                                  worker_pids):
+    emb, meta = random_embedding(seed=8, n=4000, d=16)
+    fio.save_embeddings(tmp_path / "one.csv", emb)
+    fio.save_metadata(tmp_path / "one_meta.csv", meta)
+    assert (tmp_path / "one.csv").stat().st_size > 4 * fio._MIN_RANGE_BYTES
+    monkeypatch.setattr(fio.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert len(fio._line_ranges(tmp_path / "one.csv")) == 4  # three ranges
+    fio.save_embeddings(tmp_path / "split.csv", emb)
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    loaded = fio.load_embedding_matrix(tmp_path / "one.csv")
+    assert loaded.cell_ids == emb.cell_ids
+    assert loaded.values.tobytes() == emb.values.tobytes()
+    assert not loaded.values.flags.writeable
+    assert sorted(os.listdir(tmp_path)) == ["one.csv", "one_meta.csv", "split.csv"]
+    assert worker_pids and all_reaped(worker_pids)
+
+
+def test_metadata_split_into_ranges_reads_and_writes_as_one_range(tmp_path, ranges):
+    emb, meta = random_embedding(seed=9, n=25, d=1)
+    fio.save_metadata(tmp_path / "one.csv", meta)
+    ranges(4)
+    fio.save_metadata(tmp_path / "split.csv", meta)
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert len(fio._line_ranges(tmp_path / "one.csv")) == 5
+    loaded = fio.load_metadata(tmp_path / "one.csv")
+    assert loaded.cell_ids == meta.cell_ids
+    assert loaded.batch_of == meta.batch_of and loaded.label_of == meta.label_of
+
+
+DATA_ROWS = [f"c{i},{i}.5,-{i}.25" for i in range(12)]
+# fault -> (data line i as bytes, the error's text after "<path>:<line>: ");
+# a duplicate repeats row 0's id, so it goes on row 1 or later
+LINE_FAULTS = {
+    "width": (lambda i: f"c{i},{i}.5".encode(), "expected 3 columns, got 2"),
+    "bad-id": (lambda i: f"c {i},{i}.5,1.0".encode(),
+               "cell id 'c {i}' contains characters outside [A-Za-z0-9_.-]"),
+    "non-numeric": (lambda i: f"c{i},{i}.5,x{i}".encode(), "non-numeric coordinate 'x{i}'"),
+    "non-finite": (lambda i: f"c{i},1e999,{i}.0".encode(), "non-finite coordinate '1e999'"),
+    "non-utf8": (lambda i: f"c{i},{i}.5,1.".encode() + b"\xff",
+                 "byte b'\\xff' is not UTF-8 (invalid start byte)"),
+    "duplicate": (lambda i: f"c0,{i}.5,1.0".encode(), "duplicate cell id 'c0'"),
+    "duplicate-before-coordinate": (lambda i: b"c0,abc,1.0", "duplicate cell id 'c0'"),
+}
+ENDINGS = {"lf": (b"\n", True), "crlf": (b"\r\n", True), "no-final-newline": (b"\n", False)}
+
+
+def table_bytes(lines, ending=b"\n", final=True):
+    return ending.join(lines) + (ending if final else b"")
+
+
+def range_of_line(path, data, line_index):
+    """``"first"``, ``"later"`` or ``"later-first-line"``: where the 0-based
+    line ``line_index`` of ``data`` falls among the ranges of ``path``."""
+    start = sum(len(line) + 1 for line in data.split(b"\n")[:line_index])
+    cuts = fio._line_ranges(path)[1:-1]
+    if start in cuts:
+        return "later-first-line"
+    return "later" if cuts and start > cuts[0] else "first"
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+@pytest.mark.parametrize("fault", LINE_FAULTS)
+def test_a_faulty_line_in_any_range_raises_the_one_range_error(tmp_path, ranges, worker_pids,
+                                                               fault, ending):
+    line_at, text = LINE_FAULTS[fault]
+    p = tmp_path / "emb.csv"
+    placed = set()
+    for row in range(1 if fault.startswith("duplicate") else 0, len(DATA_ROWS)):
+        lines = [b"cell_id,z0,z1", *(r.encode() for r in DATA_ROWS)]
+        lines[row + 1] = line_at(row)
+        data = table_bytes(lines, *ENDINGS[ending])
+        p.write_bytes(data)
+        ranges(1)
+        one = load_outcome(fio.load_embedding_matrix, p)
+        assert one == f"{p}:{row + 2}: {text.format(i=row)}"
+        ranges(3)
+        assert load_outcome(fio.load_embedding_matrix, p) == one
+        placed.add(range_of_line(p, data, row + 1))
+        assert worker_pids and all_reaped(worker_pids)
+    assert placed == {"first", "later", "later-first-line"}
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_ranges_join_to_the_one_range_matrix(tmp_path, ranges, ending):
+    p = tmp_path / "emb.csv"
+    p.write_bytes(table_bytes([b"cell_id,z0,z1", *(r.encode() for r in DATA_ROWS)],
+                              *ENDINGS[ending]))
+    ranges(1)
+    one = load_outcome(fio.load_embedding_matrix, p)
+    assert one[0] == tuple(f"c{i}" for i in range(12))
+    for count in (2, 3, 5, 12, 20):
+        ranges(count)
+        assert load_outcome(fio.load_embedding_matrix, p) == one
+
+
+def test_a_duplicate_of_an_earlier_range_comes_before_a_later_fault(tmp_path, ranges):
+    p = tmp_path / "emb.csv"
+    placed = set()
+    for row in range(1, len(DATA_ROWS) - 1):
+        lines = [b"cell_id,z0,z1", *(r.encode() for r in DATA_ROWS)]
+        lines[row + 1] = f"c0,{row}.5,1.0".encode()
+        lines[row + 2] = b"c99,1.0"  # too few columns
+        data = table_bytes(lines)
+        p.write_bytes(data)
+        ranges(1)
+        one = load_outcome(fio.load_embedding_matrix, p)
+        assert one == f"{p}:{row + 2}: duplicate cell id 'c0'"
+        ranges(3)
+        assert load_outcome(fio.load_embedding_matrix, p) == one
+        placed.add(range_of_line(p, data, row + 1))
+    assert placed == {"first", "later", "later-first-line"}
+
+
+METADATA_FAULTS = {
+    "width": (lambda i: f"c{i},b", "expected 3 columns, got 2"),
+    "bad-id": (lambda i: f"c{i}!,b,t",
+               "cell id 'c{i}!' contains characters outside [A-Za-z0-9_.-]"),
+    "empty-batch": (lambda i: f"c{i},,t", "empty batch name"),
+    "empty-cell-type": (lambda i: f"c{i},b,", "empty cell type (partial labels are not allowed)"),
+    "duplicate": (lambda i: "c0,b,", "duplicate cell id 'c0'"),
+}
+
+
+@pytest.mark.parametrize("fault", METADATA_FAULTS)
+def test_a_faulty_metadata_line_in_any_range_raises_the_one_range_error(tmp_path, ranges,
+                                                                        fault):
+    line_at, text = METADATA_FAULTS[fault]
+    p = tmp_path / "meta.csv"
+    for row in range(1 if fault == "duplicate" else 0, 10):
+        lines = ["cell_id,batch,cell_type", *(f"c{i},b{i % 3},t{i % 2}" for i in range(10))]
+        lines[row + 1] = line_at(row)
+        p.write_text("\n".join(lines) + "\n")
+        ranges(1)
+        one = load_outcome(fio.load_metadata, p)
+        assert one == f"{p}:{row + 2}: {text.format(i=row)}"
+        ranges(3)
+        assert load_outcome(fio.load_metadata, p) == one
+
+
+def test_workers_end_with_their_call_and_leave_no_part_file(tmp_path, ranges, monkeypatch,
+                                                            worker_pids):
+    emb, _ = random_embedding(seed=10, n=30, d=2)
+    p = tmp_path / "emb.csv"
+    ranges(3)
+    fio.save_embeddings(p, emb)
+    assert os.listdir(tmp_path) == ["emb.csv"]
+    assert worker_pids and all_reaped(worker_pids)
+    worker_pids.clear()
+    parent = os.getpid()
+    real_parse = fio._parse_rows
+
+    def parse_rows(lines, width, parse):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real_parse(lines, width, parse)
+
+    monkeypatch.setattr(fio, "_parse_rows", parse_rows)
+    with pytest.raises(KeyboardInterrupt):
+        fio.load_embedding_matrix(p)
+    assert worker_pids and all_reaped(worker_pids)
+
+
+def test_a_worker_never_unwinds_through_its_caller(tmp_path, ranges, monkeypatch,
+                                                   worker_pids):
+    emb, _ = random_embedding(seed=11, n=30, d=2)
+    p = tmp_path / "emb.csv"
+    fio.save_embeddings(p, emb)
+    parent = os.getpid()
+    real_parse = fio._parse_rows
+
+    def parse_rows(lines, width, parse):
+        if os.getpid() != parent:
+            raise KeyboardInterrupt
+        return real_parse(lines, width, parse)
+
+    monkeypatch.setattr(fio, "_parse_rows", parse_rows)
+    ranges(3)
+    log = tmp_path / "finally.log"
+    try:
+        with pytest.raises(fio.FedfilmError, match="ended without a result"):
+            fio.load_embedding_matrix(p)
+    finally:
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+    assert log.read_text(encoding="utf-8") == f"{parent}\n"
+    assert worker_pids and all_reaped(worker_pids)
+
+
+def test_a_worker_error_is_raised_by_the_call(tmp_path, ranges, monkeypatch, worker_pids):
+    emb, _ = random_embedding(seed=12, n=30, d=2)
+    parent = os.getpid()
+
+    class FailingStream(io.TextIOWrapper):
+        def writelines(self, lines):
+            if os.getpid() != parent:
+                raise OSError(28, "No space left on device")
+            return super().writelines(lines)
+
+    def open_failing(file, mode="r", **kwargs):
+        stream = open(file, mode, **kwargs)
+        if mode == "w":
+            return FailingStream(stream.detach(), encoding="utf-8")
+        return stream
+
+    monkeypatch.setattr(fio, "open", open_failing, raising=False)
+    ranges(3)
+    with pytest.raises(OSError, match="No space left on device"):
+        fio.save_embeddings(tmp_path / "emb.csv", emb)
+    assert os.listdir(tmp_path) == ["emb.csv"]
+    assert worker_pids and all_reaped(worker_pids)

@@ -2,10 +2,13 @@
 the adapter JSON and the run config, and the error a corrupted matrix line
 raises."""
 
+import os
 import re
 import string
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -37,8 +40,8 @@ def tables(draw, rows=st.integers(1, 6), cols=st.integers(1, 4)):
 
 
 @st.composite
-def matrices(draw):
-    values = draw(tables())
+def matrices(draw, rows=st.integers(1, 6)):
+    values = draw(tables(rows=rows))
     ids = draw(st.lists(CELL_IDS, min_size=len(values), max_size=len(values), unique=True))
     return EmbeddingMatrix(tuple(ids), values)
 
@@ -55,6 +58,31 @@ def test_matrix_csv_round_trip_is_bit_exact(emb):
         again = Path(tmp, "again.csv")
         fio.save_embeddings(again, loaded)
         assert again.read_bytes() == path.read_bytes()
+
+
+@contextmanager
+def ranges(count):
+    """Cut every CSV that fedfilm.io reads or writes into ``count`` ranges
+    where it has the bytes for them, as if the process could run on
+    ``count`` CPUs and one byte were enough for a range."""
+    with mock.patch.object(fio, "_MIN_RANGE_BYTES", 1), \
+            mock.patch.object(fio.os, "sched_getaffinity", lambda pid: set(range(count))):
+        yield
+
+
+@PROPERTY_SETTINGS
+@given(matrices(rows=st.integers(1, 12)), st.integers(2, 6))
+def test_matrix_csv_in_ranges_is_the_one_range_csv(emb, count):
+    with tempfile.TemporaryDirectory() as tmp:
+        one, split = Path(tmp, "one.csv"), Path(tmp, "split.csv")
+        fio.save_embeddings(one, emb)
+        with ranges(count):
+            fio.save_embeddings(split, emb)
+            loaded = fio.load_embedding_matrix(one)
+        assert split.read_bytes() == one.read_bytes()
+        assert loaded.cell_ids == emb.cell_ids
+        assert loaded.values.tobytes() == emb.values.tobytes()
+        assert sorted(os.listdir(tmp)) == ["one.csv", "split.csv"]
 
 
 @st.composite

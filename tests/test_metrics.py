@@ -188,6 +188,13 @@ def test_kmeans_arguments_that_give_no_labels_are_rejected(call, cause):
         call(emb.values, emb, meta)
 
 
+def test_kmeans_rejects_squared_distances_that_overflow():
+    # finite cells whose squared distances pass the largest float: k-means++
+    # has no probabilities to draw from (RuntimeWarnings fail this suite)
+    with pytest.raises(ValidationError, match="overflow"):
+        kmeans([[1e200], [-1e200], [3e200]], 2, seed=0)
+
+
 def test_kmeans_keeps_labels_when_the_inertia_overflows():
     values = np.array([[1e200], [-1e200], [3e200]])
     with np.errstate(over="ignore"):
