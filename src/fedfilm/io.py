@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import re
 import shutil
+import signal
 import stat
 import tempfile
 from array import array
@@ -101,9 +103,6 @@ class _Worker:
     """
 
     def __init__(self, task):
-        import pickle
-        import signal
-
         read, write = os.pipe()
         # an interrupt before the child is inside its try block would unwind
         # it through its caller, so the child starts with SIGINT blocked
@@ -137,8 +136,6 @@ class _Worker:
 
     def result(self):
         """The task's value; raises the task's exception."""
-        import pickle
-
         try:
             ok, value = pickle.load(self.pipe)
         except (EOFError, pickle.UnpicklingError):
@@ -155,8 +152,6 @@ class _Worker:
 
     def close(self):
         """Close the pipe, stop the child if it still runs and reap it."""
-        import signal
-
         self.pipe.close()
         os.kill(self.pid, signal.SIGKILL)  # an unreaped child keeps its pid
         os.waitpid(self.pid, 0)
@@ -269,32 +264,26 @@ def save_metadata(path, meta: CellMetadata):
                 lambda lo, hi: zip(*(column[lo:hi] for column in columns.values())))
 
 
-class _LineFault(Exception):
-    """``args``: a line number within a range and what is wrong with that
-    line; the reader adds the file and the range's place in it."""
-
-
-def _lines(path, start: int = 0, stop: int | None = None):
+def _lines(path, start: int = 0, stop: int | None = None, first: int = 1):
     """Yield ``(line number, line)`` for the lines of the file from byte
     ``start`` to byte ``stop`` (both line starts; None is the end of the
-    file), numbered from 1, decoded, with a "\\r\\n" ending folded.
+    file), numbered from ``first``, decoded, with a "\\r\\n" ending folded.
 
     Only "\\n" ends a line: a lone "\\r" stays in its line, so a cell id
     holding one is a bad id on its own line. A line that is not UTF-8 raises
-    ``_LineFault`` after the lines before it, so an earlier line's fault
-    comes first.
+    after the lines before it, so an earlier line's fault comes first.
     """
     pos = start
     try:
         with open(path, "rb") as file:
             if start:
                 file.seek(start)
-            for ln, raw in enumerate(file, 1):
+            for ln, raw in enumerate(file, first):
                 try:
                     line = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    raise _LineFault(ln, f"byte {exc.object[exc.start:exc.end]!r} "
-                                         f"is not UTF-8 ({exc.reason})") from None
+                    raise LoadError(f"{path}:{ln}: byte {exc.object[exc.start:exc.end]!r} "
+                                    f"is not UTF-8 ({exc.reason})") from None
                 if line.endswith("\n"):
                     line = line[:-2] if line.endswith("\r\n") else line[:-1]
                 yield ln, line
@@ -305,36 +294,30 @@ def _lines(path, start: int = 0, stop: int | None = None):
         raise LoadError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_rows(lines, width: int, parse):
-    """Check one range's data lines and hand each line's fields to
-    ``parse``, which returns what is wrong with them, or None.
+def _parse_rows(path, lines, width: int, parse, ids):
+    """Check data lines and hand each line's fields to ``parse``, which
+    returns what is wrong with them, or None.
 
     Each line must have ``width`` fields and a cell id of the allowed
-    characters that is new to the range. Returns the ids, as an
-    insertion-ordered dict, and the first fault: ``(line number, message)``,
-    or None. A line whose fault ``parse`` found keeps its id, because a
-    duplicate of an earlier range's id is the fault to report on that line.
+    characters that is not yet in ``ids``, an insertion-ordered dict of the
+    ids of the lines before, to which each line's id is added. Raises
+    ``LoadError`` naming the first faulty line.
     """
-    ids = {}
     with closing(lines):
-        try:
-            for ln, line in lines:
-                fields = line.split(",")
-                if len(fields) != width:
-                    return ids, (ln, f"expected {width} columns, got {len(fields)}")
-                cid = fields[0]
-                problem = _cell_id_problem(cid)
-                if problem:
-                    return ids, (ln, problem)
-                if cid in ids:
-                    return ids, (ln, f"duplicate cell id {cid!r}")
-                ids[cid] = None
-                problem = parse(fields)
-                if problem:
-                    return ids, (ln, problem)
-        except _LineFault as fault:
-            return ids, fault.args
-    return ids, None
+        for ln, line in lines:
+            fields = line.split(",")
+            if len(fields) != width:
+                raise LoadError(f"{path}:{ln}: expected {width} columns, got {len(fields)}")
+            cid = fields[0]
+            problem = _cell_id_problem(cid)
+            if problem:
+                raise LoadError(f"{path}:{ln}: {problem}")
+            if cid in ids:
+                raise LoadError(f"{path}:{ln}: duplicate cell id {cid!r}")
+            problem = parse(fields)
+            if problem:
+                raise LoadError(f"{path}:{ln}: {problem}")
+            ids[cid] = None
 
 
 @contextmanager
@@ -343,21 +326,18 @@ def _read_table(path, header_problem, parse_range):
     first of its ``_line_ranges`` here, each later one in a worker.
 
     ``header_problem(header fields)`` returns what is wrong with the header,
-    or None. ``parse_range(lines, width)`` parses a range's data lines and
-    returns ``(ids, fault, value, raw)``: ``ids`` and ``fault`` as
-    ``_parse_rows`` gives them, a picklable ``value`` and a buffer ``raw``,
-    or None. Raises the first fault in file order, a duplicate of an earlier
-    range's id included, with its line number in the file. Yields the
-    header, all ids in file order, and each range's ``(value, raw)``, where
-    a later range's raw is the ``_Worker`` that holds its bytes.
+    or None. ``parse_range(lines, width, ids)`` parses data lines with
+    ``_parse_rows`` and returns a picklable ``value`` and a buffer ``raw``,
+    or None. A later range that fails, or repeats an id of an earlier one,
+    is read again here from its first line to the end of the file, after
+    the ids before it, so the error raised is the one a one-range read
+    raises. Yields the header, all ids in file order, and each range's
+    ``(value, raw)``, where a later range's raw is the ``_Worker`` that
+    holds its bytes.
     """
-    path = Path(path)
     cuts = _line_ranges(path)
     lines = _lines(path, 0, cuts[1])
-    try:
-        top = next(lines, None)
-    except _LineFault as fault:
-        raise LoadError(f"{path}:{fault.args[0]}: {fault.args[1]}") from None
+    top = next(lines, None)
     if top is None:
         raise LoadError(f"{path}: empty file")
     header = top[1].split(",")
@@ -367,25 +347,23 @@ def _read_table(path, header_problem, parse_range):
         raise LoadError(f"{path}:1: {problem}")
 
     def task(start, stop):
-        ids, fault, value, raw = parse_range(_lines(path, start, stop), len(header))
-        return (list(ids), fault, value), raw
+        ids = {}
+        value, raw = parse_range(_lines(path, start, stop), len(header), ids)
+        return (list(ids), value), raw
 
     with _workers(partial(task, *cut) for cut in zip(cuts[1:-1], cuts[2:])) as workers:
-        seen, fault, value, raw = parse_range(lines, len(header))
-        if fault:
-            raise LoadError(f"{path}:{fault[0]}: {fault[1]}")
+        seen = {}
+        parts = [parse_range(lines, len(header), seen)]
         if not seen:
             raise LoadError(f"{path}: no data rows")
-        parts = [(value, raw)]
-        offset = len(seen) + 1  # the lines before the next range, the header included
-        for worker in workers:
-            ids, fault, value = worker.result()
-            if not seen.keys().isdisjoint(ids):
-                ln, cid = next((offset + j, cid) for j, cid in enumerate(ids, 1) if cid in seen)
-                raise LoadError(f"{path}:{ln}: duplicate cell id {cid!r}")
-            if fault:
-                raise LoadError(f"{path}:{offset + fault[0]}: {fault[1]}")
-            offset += len(ids)
+        for start, worker in zip(cuts[1:], workers):
+            try:
+                ids, value = worker.result()
+                if not seen.keys().isdisjoint(ids):
+                    raise LoadError(f"{path}: a cell id from byte {start} on repeats an earlier one")
+            except LoadError:
+                parse_range(_lines(path, start, None, len(seen) + 2), len(header), seen)
+                raise
             seen.update(zip(ids, repeat(None)))
             parts.append((value, worker))
         yield header, seen, parts
@@ -405,7 +383,9 @@ def _coordinate_problem(fields) -> str:
 def load_embedding_matrix(path) -> EmbeddingMatrix:
     """Parse the delimited matrix file: header row, ``cell_id`` first, then
     numeric latent coordinates."""
-    def parse_range(lines, width):
+    path = Path(path)
+
+    def parse_range(lines, width, ids):
         values = array("d")  # the range's coordinates, row after row, grown in place
 
         def parse(fields):
@@ -418,8 +398,8 @@ def load_embedding_matrix(path) -> EmbeddingMatrix:
                 return _coordinate_problem(fields)
             values.fromlist(row)
 
-        ids, fault = _parse_rows(lines, width, parse)
-        return ids, fault, len(values), values
+        _parse_rows(path, lines, width, parse, ids)
+        return len(values), values
 
     with _read_table(path, lambda header: (
             None if header[0] == "cell_id" and len(header) >= 2 else
@@ -446,7 +426,9 @@ _METADATA_HEADERS = (["cell_id", "batch"], ["cell_id", "batch", "cell_type"])
 def load_metadata(path) -> CellMetadata:
     """Parse the metadata file: header ``cell_id,batch[,cell_type]``; any
     other column is rejected."""
-    def parse_range(lines, width):
+    path = Path(path)
+
+    def parse_range(lines, width, ids):
         columns = tuple([] for _ in range(width - 1))
 
         def parse(fields):
@@ -457,8 +439,8 @@ def load_metadata(path) -> CellMetadata:
             for column, field in zip(columns, fields[1:]):
                 column.append(field)
 
-        ids, fault = _parse_rows(lines, width, parse)
-        return ids, fault, columns, None
+        _parse_rows(path, lines, width, parse, ids)
+        return columns, None
 
     with _read_table(path, lambda header: (
             None if header in _METADATA_HEADERS else "header must be 'cell_id,batch' or "

@@ -332,13 +332,11 @@ def _nearest_center(values, sq, centers, scratch):
 
 
 def _center_d2(values, centers, labels, buf):
-    """Exact squared distance of each row to its labeled center, computed
-    in ``buf`` with the same contiguous per-row sums as ``_sq_dist``."""
+    """Exact squared distance of each row to its labeled center: ``_sq_dist``
+    against the labeled centers, gathered row by row into ``buf``."""
     # mode "clip" writes straight into buf; "raise" first gathers into a copy
     np.take(centers, labels, axis=0, out=buf, mode="clip")
-    np.subtract(values, buf, out=buf)
-    np.multiply(buf, buf, out=buf)
-    return np.sum(buf, axis=1)
+    return _sq_dist(values, buf, buf)
 
 
 def _assign(values, sq, centers, buf):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,26 @@ def test_apply_does_not_modify_input():
     apply_adapter(emb, meta, adapter)
     assert np.array_equal(emb.values, before)
     assert not emb.values.flags.writeable
+
+
+def test_apply_adapter_holds_one_table_beside_its_input():
+    rng = np.random.default_rng(5)
+    n, d = 20_000, 32
+    ids = tuple(f"c{i}" for i in range(n))
+    emb = EmbeddingMatrix(ids, rng.standard_normal((n, d)))
+    meta = CellMetadata.from_columns(list(ids), rng.choice(["x", "y", "z"], n).tolist())
+    adapter = FilmAdapter(meta.batch_names, rng.uniform(0.5, 2.0, (3, d)),
+                          rng.standard_normal((3, d)))
+    idx = np.array([adapter.row_index(b) for b in meta.batch_names])[meta.batch_codes]
+    tracemalloc.start()
+    try:
+        out = apply_adapter(emb, meta, adapter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result and the row indices, but no gathered beta table beside them
+    assert peak < 1.5 * emb.values.nbytes
+    assert out.values.tobytes() == (adapter.gamma[idx] * emb.values + adapter.beta[idx]).tobytes()
 
 
 def test_embedding_validation():

@@ -729,6 +729,26 @@ def test_a_faulty_metadata_line_in_any_range_raises_the_one_range_error(tmp_path
         assert load_outcome(fio.load_metadata, p) == one
 
 
+def test_a_worker_error_the_re_read_cannot_find_is_raised(tmp_path, ranges, monkeypatch,
+                                                         worker_pids):
+    emb, _ = random_embedding(seed=13, n=30, d=2)
+    p = tmp_path / "emb.csv"
+    fio.save_embeddings(p, emb)
+    parent = os.getpid()
+    real_lines = fio._lines
+
+    def lines(path, *args):
+        if os.getpid() != parent:
+            raise fio.LoadError(f"cannot read {path}: device gone")
+        return real_lines(path, *args)
+
+    monkeypatch.setattr(fio, "_lines", lines)
+    ranges(3)
+    with pytest.raises(fio.LoadError, match=f"^cannot read {re.escape(str(p))}: device gone$"):
+        fio.load_embedding_matrix(p)
+    assert worker_pids and all_reaped(worker_pids)
+
+
 def test_workers_end_with_their_call_and_leave_no_part_file(tmp_path, ranges, monkeypatch,
                                                             worker_pids):
     emb, _ = random_embedding(seed=10, n=30, d=2)
@@ -741,10 +761,10 @@ def test_workers_end_with_their_call_and_leave_no_part_file(tmp_path, ranges, mo
     parent = os.getpid()
     real_parse = fio._parse_rows
 
-    def parse_rows(lines, width, parse):
+    def parse_rows(path, lines, width, parse, ids):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real_parse(lines, width, parse)
+        return real_parse(path, lines, width, parse, ids)
 
     monkeypatch.setattr(fio, "_parse_rows", parse_rows)
     with pytest.raises(KeyboardInterrupt):
@@ -760,10 +780,10 @@ def test_a_worker_never_unwinds_through_its_caller(tmp_path, ranges, monkeypatch
     parent = os.getpid()
     real_parse = fio._parse_rows
 
-    def parse_rows(lines, width, parse):
+    def parse_rows(path, lines, width, parse, ids):
         if os.getpid() != parent:
             raise KeyboardInterrupt
-        return real_parse(lines, width, parse)
+        return real_parse(path, lines, width, parse, ids)
 
     monkeypatch.setattr(fio, "_parse_rows", parse_rows)
     ranges(3)

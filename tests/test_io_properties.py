@@ -1,6 +1,6 @@
 """Property tests of the file formats: bit-exact round trips of the matrix CSV,
 the adapter JSON and the run config, and the error a corrupted matrix line
-raises."""
+raises, read as one range or several."""
 
 import os
 import re
@@ -140,15 +140,21 @@ def test_corrupt_matrix_line_names_the_line_and_token(emb, data):
         fields[data.draw(st.integers(1, emb.d), label="column")] = token
         expected = f"{kind} coordinate {token!r}"
     lines[row] = ",".join(fields)
+    count = data.draw(st.integers(1, 6), label="ranges")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "emb.csv")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        try:
-            fio.load_embedding_matrix(path)
-        except fio.LoadError as exc:
-            assert str(exc).startswith(f"{path}:{row + 1}: {expected}"), str(exc)
-        else:
-            raise AssertionError(f"{kind} on line {row + 1} was accepted")
+        messages = []
+        for cut in (1, count):
+            with ranges(cut):
+                try:
+                    fio.load_embedding_matrix(path)
+                except fio.LoadError as exc:
+                    messages.append(str(exc))
+                else:
+                    raise AssertionError(f"{kind} on line {row + 1} was accepted")
+        assert messages[0].startswith(f"{path}:{row + 1}: {expected}"), messages[0]
+        assert messages[1] == messages[0]
 
 
 RUN_CONFIGS = st.builds(
