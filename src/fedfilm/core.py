@@ -6,6 +6,7 @@ The adapter transform is a per-batch affine map in latent space:
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -152,7 +153,7 @@ class CellMetadata:
         ids = tuple(self.cell_ids)
         if not ids:
             raise ValidationError("metadata must cover at least one cell")
-        if len(set(ids)) != len(ids):
+        if len(dict.fromkeys(ids)) != len(ids):  # a set of the ids holds several times the bytes
             raise ValidationError("duplicate cell ids in metadata")
         object.__setattr__(self, "cell_ids", ids)
         _set_codes(self, "batch")
@@ -241,6 +242,14 @@ def _positions(ids, wanted, missing: str) -> np.ndarray:
         return np.fromiter(map(index.__getitem__, wanted), dtype=np.intp)
     except KeyError as exc:
         raise ValidationError(missing.format(exc.args[0])) from None
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: the size of its affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return 1
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (FIELD_KINDS, CellMetadata, EmbeddingMatrix, FedfilmError,
-                   FilmAdapter, ValidationError, field_type_problem, items_at)
+                   FilmAdapter, ValidationError, field_type_problem, items_at, usable_cpus)
 from .federation import AGGREGATION_MODES, RoundRecord, ScenarioPlan
 from .metrics import METRIC_SUBSETS, MetricsReport
 from .objective import TrainConfig
@@ -82,11 +82,7 @@ _MIN_RANGE_BYTES = 1 << 18
 def _range_count(size: int) -> int:
     """How many ranges ``size`` bytes of CSV are cut into: one per CPU this
     process may run on, but none smaller than ``_MIN_RANGE_BYTES``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        cpus = 1
-    return max(1, min(cpus, size // _MIN_RANGE_BYTES))
+    return max(1, min(usable_cpus(), size // _MIN_RANGE_BYTES))
 
 
 class _Worker:
@@ -189,7 +185,8 @@ def _line_ranges(path) -> list:
                 for i in range(1, parts):
                     file.seek(head + i * (info.st_size - head) // parts - 1)
                     file.readline()  # to the end of the line holding that byte
-                    if cuts[-1] < file.tell() < info.st_size:
+                    # a cut at the header's end would leave the first range no data line
+                    if max(cuts[-1], head) < file.tell() < info.st_size:
                         cuts.append(file.tell())
     except OSError:
         cuts = [0]

@@ -12,12 +12,18 @@ aggregate weighs biological conservation at 0.6 and batch correction at 0.4.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
-from .core import CellMetadata, EmbeddingMatrix, ValidationError, encode_groups
+from .core import CellMetadata, EmbeddingMatrix, ValidationError, encode_groups, usable_cpus
 from .synth import principal_axes
 
 BIO_METRICS = ("kmeans_nmi", "kmeans_ari", "label_asw", "isolated_f1", "clisi_score")
@@ -92,6 +98,93 @@ class NeighborGraph:
         return self.neighbors.shape[0]
 
 
+# ---------------------------------------------------------------------------
+# CPU threads
+
+# the thread-count functions of numpy's OpenBLAS wheels, then of a plain OpenBLAS
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _openblas_controls() -> tuple:
+    """``(get, set)`` thread-count functions of each OpenBLAS loaded into
+    this process, numpy's among them: none without ``/proc/self/maps`` or
+    when numpy uses another BLAS."""
+    controls = []
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = dict.fromkeys(line.split(maxsplit=5)[-1].rstrip("\n")
+                                  for line in maps if "openblas" in line)
+        for path in paths:
+            lib = ctypes.CDLL(path)  # the loaded library's handle, not a second copy
+            for get, put in _OPENBLAS_THREAD_FUNCTIONS:
+                if hasattr(lib, get) and hasattr(lib, put):
+                    get, put = getattr(lib, get), getattr(lib, put)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    except OSError:
+        return ()
+    return tuple(controls)
+
+
+# process-wide, as the BLAS thread counts they stand for are
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved: list = []
+
+
+@contextmanager
+def _one_blas_thread(controls):
+    """Hold every OpenBLAS of ``controls`` at one thread, and restore the
+    counts it had when the last of the nested or concurrent holders leaves.
+
+    After a call on several threads an idle OpenBLAS worker busy-waits for
+    about 0.14 s, so a Python thread running beside a pool that is not held
+    shares its core with that spin.
+    """
+    global _blas_holders, _blas_saved
+    with _blas_lock:
+        if not _blas_holders:
+            _blas_saved = [get() for get, _ in controls]
+            for _, put in controls:
+                put(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if not _blas_holders:
+                for (_, put), count in zip(controls, _blas_saved):
+                    put(count)
+
+
+@contextmanager
+def _cpu_threads():
+    """Yield ``(parts, pool)``: how many parts a call may run at once, one per
+    usable CPU while numpy's BLAS is held to one thread (one part when it
+    cannot be held), and a pool for ``_run``. The pool's threads live for
+    the call: they are joined on the way out, on an error too."""
+    controls = _openblas_controls()
+    parts = usable_cpus() if controls else 1
+    with _one_blas_thread(controls), ThreadPoolExecutor(max(1, parts - 1)) as pool:
+        yield parts, pool
+
+
+def _run(pool, tasks) -> list:
+    """Each of ``tasks``' results, in order: the first task runs on this
+    thread, the others on ``pool``'s, each in a copy of this thread's
+    context so that ``np.errstate`` holds there too."""
+    futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
+    first = tasks[0]()
+    return [first] + [future.result() for future in futures]
+
+
 def _row_block_size(n: int) -> int:
     # cap each block's distance slice at ~64 MB so big inputs stay in memory
     return max(32, min(n, (1 << 23) // max(n, 1)))
@@ -126,26 +219,39 @@ def _distance_sweep(values, k: int | None, codes):
     sq = np.sum(values * values, axis=1)
     step = _row_block_size(n)
     gram = np.empty((min(step, n), n))  # each block's squared distances, in place
-    pair_sq = np.empty((min(_CHUNK_ROWS, n), n))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        d2 = np.matmul(2.0 * values[start:stop], values.T, out=gram[:stop - start])
-        for lo in range(start, stop, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, stop)
-            own = (np.arange(hi - lo), np.arange(lo, hi))  # each row's self entry
+
+    def part(pair_sq, start, lo, hi):
+        """Rows lo to hi of the block from ``start``, in chunks as tall as
+        ``pair_sq``, their own scratch."""
+        d2 = np.matmul(2.0 * values[lo:hi], values.T, out=gram[lo - start:hi - start])
+        for a in range(lo, hi, len(pair_sq)):
+            b = min(a + len(pair_sq), hi)
+            own = (np.arange(b - a), np.arange(a, b))  # each row's self entry
             # (|x|^2 + |y|^2) - (2x) @ y.T, rounded exactly as the unbuffered form
-            chunk = d2[lo - start:hi - start]
-            np.subtract(np.add(sq[lo:hi, None], sq[None, :], out=pair_sq[:hi - lo]),
+            chunk = d2[a - lo:b - lo]
+            np.subtract(np.add(sq[a:b, None], sq[None, :], out=pair_sq[:b - a]),
                         chunk, out=chunk)
             np.maximum(chunk, 0.0, out=chunk)
             if neighbors is not None:
                 chunk[own] = np.inf
-                neighbors[lo:hi] = _nearest(chunk, k)
+                neighbors[a:b] = _nearest(chunk, k)
             if sums is not None:
                 chunk[own] = 0.0
                 np.sqrt(chunk, out=chunk)
         if sums is not None:
-            np.matmul(d2, onehot, out=sums[start:stop])
+            np.matmul(d2, onehot, out=sums[lo:hi])
+
+    with _cpu_threads() as (parts, pool):
+        # the parts' chunks together are _CHUNK_ROWS tall, as one part's are
+        scratch = [np.empty((min(max(1, _CHUNK_ROWS // parts), n), n)) for _ in range(parts)]
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            # each part gets whole _CHUNK_ROWS-row chunks, the last the rest too
+            chunks = (stop - start) // _CHUNK_ROWS
+            used = max(1, min(parts, chunks))
+            cuts = [start + (i * chunks // used) * _CHUNK_ROWS for i in range(used)] + [stop]
+            _run(pool, [partial(part, pair_sq, start, lo, hi)
+                        for pair_sq, lo, hi in zip(scratch, cuts, cuts[1:])])
     silhouette = None if sums is None else _silhouette_from_sums(sums, coded)
     return neighbors, silhouette
 
@@ -222,13 +328,25 @@ def kmeans(values, k: int, seed: int, restarts: int = 10,
     if not np.isfinite(values).all():
         raise ValidationError("k-means needs finite values")
     sq = np.einsum("ij,ij->i", values, values)  # |x|^2, shared by every restart
-    buf = np.empty_like(values)  # the one (n, d) scratch buffer of every restart
+
+    def restarts_from(first, every):
+        buf = np.empty_like(values)  # the one (n, d) scratch buffer of these restarts
+        runs = []
+        for r in range(first, restarts, every):
+            rng = np.random.default_rng([int(seed), _KMEANS_STREAM, r])
+            centers = _kmeans_pp(values, k, rng, buf)
+            runs.append(_lloyd(values, sq, centers, max_iter, tol, buf))
+        return runs
+
+    # restart r runs on thread r % threads; the prefilter's labels are certified
+    # and the exact sums use no BLAS, so no result depends on the split
+    with _cpu_threads() as (parts, pool):
+        threads = min(parts, restarts)
+        runs = _run(pool, [partial(restarts_from, t, threads) for t in range(threads)])
     best_labels = None
     best_inertia = np.inf
     for r in range(restarts):
-        rng = np.random.default_rng([int(seed), _KMEANS_STREAM, r])
-        centers = _kmeans_pp(values, k, rng, buf)
-        labels, inertia = _lloyd(values, sq, centers, max_iter, tol, buf)
+        labels, inertia = runs[r % threads][r // threads]
         if best_labels is None or inertia < best_inertia:  # an inertia may overflow to inf
             best_inertia = inertia
             best_labels = labels

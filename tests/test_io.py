@@ -589,6 +589,18 @@ def test_range_count_follows_the_affinity_mask_and_the_minimum(monkeypatch):
     assert fio._range_count(100 * least) == 1
 
 
+def test_the_first_range_holds_a_data_line_when_the_header_is_most_of_the_file(
+        tmp_path, ranges):
+    # three ranges of a 2-byte data line: the first cut would fall at the
+    # header's end and leave the first range no data line
+    ranges(3)
+    path = tmp_path / "emb.csv"
+    path.write_text("cell_id,z0\n0\n", encoding="utf-8")
+    assert fio._line_ranges(path) == [0, None]
+    with pytest.raises(fio.LoadError, match=r"emb\.csv:2: expected 2 columns, got 1"):
+        fio.load_embedding_matrix(path)
+
+
 def test_a_large_matrix_splits_and_reads_and_writes_as_one_range(tmp_path, monkeypatch,
                                                                   worker_pids):
     emb, meta = random_embedding(seed=8, n=4000, d=16)

@@ -1,4 +1,8 @@
+import os
+import sys
+import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -186,6 +190,17 @@ def test_kmeans_arguments_that_give_no_labels_are_rejected(call, cause):
     emb, meta = eval_instance()
     with pytest.raises(ValidationError, match=cause):
         call(emb.values, emb, meta)
+
+
+@pytest.mark.parametrize("restarts", [1, 5])
+def test_kmeans_results_do_not_depend_on_the_cpu_count(monkeypatch, restarts):
+    emb, _, _ = generate(SynthSpec(3, 5, 6, (300, 250, 200), seed=4))
+    results = []
+    for count in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, count=count: set(range(count)))
+        labels, inertia = kmeans(emb.values, 5, seed=3, restarts=restarts)
+        results.append((labels.tobytes(), np.float64(inertia).tobytes()))
+    assert results[0] == results[1]
 
 
 def test_kmeans_rejects_squared_distances_that_overflow():
@@ -861,3 +876,64 @@ def test_distance_sweep_holds_one_block_of_distances():
         tracemalloc.stop()
     assert metrics._row_block_size(1000) == 1000  # one (1000, 1000) block
     assert peak <= 1.3 * 1000 * 1000 * 8
+
+
+@pytest.mark.parametrize("call", ["sweep", "kmeans"])
+def test_a_failing_worker_thread_is_joined_and_the_blas_threads_restored(
+        request, monkeypatch, call):
+    controls = metrics._openblas_controls()
+    if not controls:
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose threads can be set")
+    get_threads, set_threads = controls[0]
+    request.addfinalizer(partial(set_threads, get_threads()))
+    set_threads(2)  # not the held count, so a count left unrestored shows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    values = np.random.default_rng(9).standard_normal((200, 4))
+    held = []
+
+    def failing(target):
+        def run(*args):
+            held.append(get_threads())
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("in a worker thread")
+            return target(*args)
+        return run
+
+    if call == "sweep":
+        monkeypatch.setattr(metrics, "_nearest", failing(metrics._nearest))
+        run = lambda: metrics._distance_sweep(values, 5, None)  # noqa: E731
+    else:
+        monkeypatch.setattr(metrics, "_lloyd", failing(metrics._lloyd))
+        run = lambda: kmeans(values, 3, seed=0, restarts=4)  # noqa: E731
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="in a worker thread"):
+        run()
+    assert set(held) == {1}  # every part ran with the BLAS held to one thread
+    assert get_threads() == 2
+    assert threading.active_count() == threads
+
+
+def test_sweep_and_kmeans_on_more_threads_than_cpus_under_fast_switching(monkeypatch):
+    # eight parts on at most a few CPUs, switching threads every microsecond:
+    # parts that shared a row of a buffer would lose each other's writes
+    rng = np.random.default_rng(10)
+    values = rng.standard_normal((700, 3))
+    codes = rng.integers(0, 3, 700)
+
+    def run():
+        neighbors, silhouette = metrics._distance_sweep(values, 7, codes)
+        labels, inertia = kmeans(values, 4, seed=2, restarts=6)
+        return neighbors, silhouette, labels, inertia
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = run()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got[0], want[0])
+    assert np.allclose(got[1], want[1], rtol=0, atol=1e-12)
+    assert got[2].tobytes() == want[2].tobytes() and got[3] == want[3]

@@ -1,6 +1,10 @@
-"""Property tests of the kNN selection, the k-means assignment, the kNN
-graph's equivariance under matrix row permutation and the evaluation
-report's independence from metadata row order and group names."""
+"""Property tests of the kNN selection, the distance sweep's split across
+CPUs, the k-means assignment, the kNN graph's equivariance under matrix row
+permutation and the evaluation report's independence from metadata row
+order and group names."""
+
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -82,6 +86,36 @@ def distance_tables(draw):
 def test_nearest_equals_full_row_sort(case):
     d2, k = case
     assert np.array_equal(metrics._nearest(d2, k), lexsort_knn(d2, k))
+
+
+@st.composite
+def sweep_cases(draw):
+    """Up to 600 cells, so a block holds up to 18 whole 32-row chunks to cut
+    into parts, a k, groups for the silhouette and a CPU count."""
+    n, d = draw(st.integers(2, 600)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(0, 4, (n, d)).astype(np.float64)  # exact distances, mass ties
+    else:
+        values = rng.standard_normal((n, d))
+    codes = rng.permutation(np.arange(n) % draw(st.integers(2, min(n, 5))))
+    return values, draw(st.integers(1, min(n - 1, 20))), codes, draw(st.integers(1, 4))
+
+
+def usable_cpus(count):
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@PROPERTY_SETTINGS
+@given(sweep_cases())
+def test_distance_sweep_in_parts_equals_the_one_part_sweep(case):
+    values, k, codes, count = case
+    with usable_cpus(1):
+        neighbors, silhouette = metrics._distance_sweep(values, k, codes)
+    with usable_cpus(count):
+        got_neighbors, got_silhouette = metrics._distance_sweep(values, k, codes)
+    assert np.array_equal(got_neighbors, neighbors)
+    assert np.allclose(got_silhouette, silhouette, rtol=0, atol=1e-12)
 
 
 @st.composite
