@@ -16,7 +16,6 @@ import contextvars
 import ctypes
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
@@ -170,6 +169,9 @@ def _cpu_threads():
     usable CPU while numpy's BLAS is held to one thread (one part when it
     cannot be held), and a pool for ``_run``. The pool's threads live for
     the call: they are joined on the way out, on an error too."""
+    # imported here, not with the module: it adds about 8 ms to every command's start
+    from concurrent.futures import ThreadPoolExecutor
+
     controls = _openblas_controls()
     parts = usable_cpus() if controls else 1
     with _one_blas_thread(controls), ThreadPoolExecutor(max(1, parts - 1)) as pool:
