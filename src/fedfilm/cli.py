@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import io as fio
-from .core import FedfilmError, apply_adapter, identity_adapter
+from .core import FedfilmError, corrected_rows, identity_adapter
 from .federation import AGGREGATION_MODES, ScenarioPlan, run_federated_fit, run_scenario
 from .metrics import METRIC_SUBSETS, aggregate_scores, evaluate
 from .objective import TARGETS, TrainConfig
@@ -91,9 +91,10 @@ def _cmd_fit(args) -> int:
 def _cmd_transform(args) -> int:
     emb, meta = fio.load_embeddings(args.embeddings, args.metadata)
     adapter = fio.load_adapter(args.adapter)
-    corrected = apply_adapter(emb, meta, adapter)
+    corrected = corrected_rows(emb, meta, adapter)  # raises before --out is created
     out = _prepare_outdir(args.out)
-    fio.save_embeddings(out / "corrected_embeddings.csv", corrected)
+    # the writer's workers compute and format their rows from the shared input
+    fio.save_embedding_rows(out / "corrected_embeddings.csv", emb.cell_ids, emb.d, corrected)
     _finish(out, "transform", ["corrected_embeddings.csv"], None)
     return 0
 

@@ -343,9 +343,33 @@ def batch_row_indices(emb: EmbeddingMatrix, meta: CellMetadata) -> dict[str, np.
     return {b: np.flatnonzero(codes == i) for i, b in enumerate(meta.batch_names)}
 
 
-# rows of beta that apply_adapter gathers at once, so it never holds a
-# second (n, d) table beside its result
+# rows that apply_adapter and the embedding writer take at once, so neither
+# holds a gathered (n, d) table of gamma or beta rows
 _ROW_CHUNK = 4096
+
+
+def corrected_rows(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter):
+    """Check that ``adapter`` applies to every cell of ``emb``, and return
+    ``rows(lo, hi, out=None)``: rows ``lo:hi`` of ``gamma[b] * z + beta[b]``,
+    the product rounded and then the sum, written into ``out`` when given.
+
+    Cells whose batch has no adapter row are a hard error, they are never
+    passed through.
+    """
+    if adapter.d != emb.d:
+        raise DimensionError(
+            f"adapter dimension {adapter.d} does not match embedding dimension {emb.d}"
+        )
+    # batches present, by first appearance among the rows: the first without a row raises
+    sub = meta.restricted_to(emb.cell_ids)
+    idx = np.array([adapter.row_index(b) for b in sub.batch_names], dtype=np.intp)[sub.batch_codes]
+
+    def rows(lo, hi, out=None):
+        out = np.multiply(adapter.gamma[idx[lo:hi]], emb.values[lo:hi], out=out)
+        out += adapter.beta[idx[lo:hi]]
+        return out
+
+    return rows
 
 
 def apply_adapter(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter) -> EmbeddingMatrix:
@@ -354,16 +378,8 @@ def apply_adapter(emb: EmbeddingMatrix, meta: CellMetadata, adapter: FilmAdapter
     Returns a new matrix with the same cell ids and row order. Cells whose
     batch has no adapter row are a hard error, they are never passed through.
     """
-    if adapter.d != emb.d:
-        raise DimensionError(
-            f"adapter dimension {adapter.d} does not match embedding dimension {emb.d}"
-        )
-    # batches present, by first appearance among the rows: the first without a row raises
-    sub = meta.restricted_to(emb.cell_ids)
-    rows = [adapter.row_index(b) for b in sub.batch_names]
-    idx = np.array(rows, dtype=np.intp)[sub.batch_codes]
-    out = adapter.gamma[idx]  # gamma * z + beta, one product table in place
-    out *= emb.values
-    for lo in range(0, len(idx), _ROW_CHUNK):
-        out[lo:lo + _ROW_CHUNK] += adapter.beta[idx[lo:lo + _ROW_CHUNK]]
+    rows = corrected_rows(emb, meta, adapter)
+    out = np.empty_like(emb.values)
+    for lo in range(0, emb.n, _ROW_CHUNK):
+        rows(lo, lo + _ROW_CHUNK, out[lo:lo + _ROW_CHUNK])
     return EmbeddingMatrix._adopt(emb.cell_ids, out)

@@ -108,12 +108,18 @@ def pooled_targets(cell_blocks, reference=None) -> dict:
     server pools only the reference's moments. A coordinate that is constant
     within a batch keeps scale 1.
     """
-    def moments(blocks):
-        return {b: (len(cells), cells.mean(axis=0), cells.var(axis=0))
-                for b, cells in blocks.items()}
+    stats = {b: _moments(cells) for b, cells in cell_blocks.items()}
+    pool = {b: _moments(cells) for b, cells in reference.items()} if reference else stats
+    return _targets_on_pool(stats, pool)
 
-    stats = moments(cell_blocks)
-    pool = moments(reference) if reference else stats
+
+def _moments(cells) -> tuple:
+    """What a client reports: its cell count, per-coordinate mean and variance."""
+    return len(cells), cells.mean(axis=0), cells.var(axis=0)
+
+
+def _targets_on_pool(stats, pool) -> dict:
+    """``pooled_targets`` from the clients' ``_moments`` and the pool's."""
     total = sum(n for n, _, _ in pool.values())
     mean = sum(n * m for n, m, _ in pool.values()) / total
     var = sum(n * v for n, _, v in pool.values()) / total
@@ -157,17 +163,18 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
     if not participating:
         raise ValidationError("no unfrozen batch to train on")
 
-    cell_blocks = {b: emb.values[blocks[b]] for b in participating}
     clients: list[ClientState] = [
         make_client_state(b, init.row_index(b), sizes[b], emb.d, cfg)
         for b in participating
     ]
     if cfg.target == "pooled":
+        # one batch's cells gathered at a time, each released once its moments are in
+        stats = {b: _moments(emb.values[blocks[b]]) for b in participating}
         # frozen batches at apply_adapter's expression: their corrected cells, bit for bit
         frozen = {b: init.row_index(b) for b in meta.batch_names if b not in participating}
-        reference = {b: init.gamma[r] * emb.values[blocks[b]] + init.beta[r]
+        reference = {b: _moments(init.gamma[r] * emb.values[blocks[b]] + init.beta[r])
                      for b, r in frozen.items()}
-        targets = pooled_targets(cell_blocks, reference)
+        targets = _targets_on_pool(stats, reference or stats)
         for state in clients:
             state.target = targets[state.batch_name]
 
@@ -177,8 +184,9 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
         snapshot = adapter
         contributions = []
         for state in clients:
+            # the client's cells are gathered on its turn, never held across clients
             gamma_row, beta_row, train_loss, holdout_loss = client_local_update(
-                state, cell_blocks[state.batch_name], snapshot, cfg, t)
+                state, emb.values[blocks[state.batch_name]], snapshot, cfg, t)
             if not (np.isfinite(train_loss) and np.isfinite(gamma_row).all()
                     and np.isfinite(beta_row).all()):
                 raise TrainingAbort(

@@ -21,12 +21,12 @@ from array import array
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .core import (FIELD_KINDS, CellMetadata, EmbeddingMatrix, FedfilmError,
+from .core import (_ROW_CHUNK, FIELD_KINDS, CellMetadata, EmbeddingMatrix, FedfilmError,
                    FilmAdapter, ValidationError, field_type_problem, items_at, usable_cpus)
 from .federation import AGGREGATION_MODES, RoundRecord, ScenarioPlan
 from .metrics import METRIC_SUBSETS, MetricsReport
@@ -239,8 +239,21 @@ def _write_rows(path, columns, cell_ids, rows):
 
 
 def save_embeddings(path, emb: EmbeddingMatrix):
-    _write_rows(path, [f"z{j}" for j in range(emb.d)], emb.cell_ids,
-                lambda lo, hi: (map(repr, row.tolist()) for row in emb.values[lo:hi]))
+    save_embedding_rows(path, emb.cell_ids, emb.d, lambda lo, hi: emb.values[lo:hi])
+
+
+def save_embedding_rows(path, cell_ids, d: int, block):
+    """Write an embedding file of ``cell_ids`` and ``d`` coordinates whose
+    rows ``lo`` to ``hi`` are the float64 array ``block(lo, hi)``. Blocks of
+    ``_ROW_CHUNK`` rows are asked for, one at a time, so a computed matrix,
+    such as a corrected one, is formatted without being held whole."""
+    def rows(lo, hi):
+        for start in range(lo, hi, _ROW_CHUNK):
+            chunk = block(start, min(start + _ROW_CHUNK, hi))
+            yield from (map(repr, row.tolist()) for row in chunk)
+            del chunk  # before the next chunk is computed
+
+    _write_rows(path, [f"z{j}" for j in range(d)], cell_ids, rows)
 
 
 def _check_names(path, names):
@@ -422,30 +435,55 @@ _METADATA_HEADERS = (["cell_id", "batch"], ["cell_id", "batch", "cell_type"])
 
 def load_metadata(path) -> CellMetadata:
     """Parse the metadata file: header ``cell_id,batch[,cell_type]``; any
-    other column is rejected."""
+    other column is rejected.
+
+    Batch and cell type names are coded as each line is parsed, numbered by
+    first appearance within the range that reads them. A range sends back
+    its names in that order and its codes as int64 bytes, a column after
+    the other; each later range's codes are mapped here into the file's
+    first-appearance order, the order ``encode_groups`` gives.
+    """
     path = Path(path)
 
     def parse_range(lines, width, ids):
-        columns = tuple([] for _ in range(width - 1))
+        books = [{} for _ in range(width - 1)]  # name -> code, by first appearance
+        columns = [array("q") for _ in books]
 
         def parse(fields):
             if not fields[1]:
                 return "empty batch name"
             if width == 3 and not fields[2]:
                 return "empty cell type (partial labels are not allowed)"
-            for column, field in zip(columns, fields[1:]):
-                column.append(field)
+            for book, column, name in zip(books, columns, fields[1:]):
+                column.append(book.setdefault(name, len(book)))
 
         _parse_rows(path, lines, width, parse, ids)
-        return columns, None
+        rows = len(columns[0])
+        for column in columns[1:]:
+            columns[0].extend(column)
+        return (rows, [list(book) for book in books]), columns[0]
 
     with _read_table(path, lambda header: (
             None if header in _METADATA_HEADERS else "header must be 'cell_id,batch' or "
             f"'cell_id,batch,cell_type', got {','.join(header)!r}"),
             parse_range) as (header, ids, parts):
-        columns = [list(chain.from_iterable(value[j] for value, _ in parts))
-                   for j in range(len(header) - 1)]
-    return CellMetadata.from_columns(ids, *columns)
+        books = [{} for _ in header[1:]]  # the file's names -> codes
+        codes = np.empty((len(books), len(ids)), dtype=np.int64)
+        pos = 0
+        for (rows, names), raw in parts:
+            block = codes[:, pos:pos + rows]
+            if isinstance(raw, _Worker):
+                for column in block:
+                    raw.readinto(column)
+            else:
+                block[:] = np.frombuffer(raw, dtype=np.int64).reshape(block.shape)
+            for book, column, range_names in zip(books, block, names):
+                to_file = np.array([book.setdefault(name, len(book)) for name in range_names],
+                                   dtype=np.int64)
+                column[:] = to_file[column]
+            pos += rows
+    labels = (codes[1], tuple(books[1])) if len(books) == 2 else ()
+    return CellMetadata(tuple(ids), codes[0], tuple(books[0]), *labels)
 
 
 def load_embeddings(matrix_path, metadata_path):
@@ -468,6 +506,11 @@ def load_embeddings(matrix_path, metadata_path):
         ) from None
     if len(rows) != len(meta.cell_ids):
         meta = meta.restricted_to(items_at(meta.cell_ids, np.sort(rows)))
+    elif np.array_equal(rows, np.arange(len(rows))):
+        # the same cells in the same order: the metadata shares the matrix's
+        # id tuple, and its own id strings are freed
+        meta = CellMetadata(emb.cell_ids, meta.batch_codes, meta.batch_names,
+                            meta.label_codes, meta.label_names)
     return emb, meta
 
 

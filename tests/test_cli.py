@@ -142,6 +142,22 @@ def test_transform_missing_batch_row_fails(synth_dir, tmp_path, capsys):
     assert "batch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("batches, d, line", [
+    (["batch0", "batch2"], 4, "batch 'batch1' has no adapter row"),
+    (["batch0", "batch1", "batch2"], 3, "adapter dimension 3 does not match embedding dimension 4"),
+], ids=["missing-row", "dimension"])
+def test_transform_fails_before_creating_out(synth_dir, tmp_path, capsys, batches, d, line):
+    from fedfilm import identity_adapter
+    fio.save_adapter(tmp_path / "adapter.json", identity_adapter(batches, d))
+    before = sorted(tmp_path.iterdir())
+    code = run(["transform", "--embeddings", str(synth_dir / "embeddings.csv"),
+                "--metadata", str(synth_dir / "metadata.csv"),
+                "--adapter", str(tmp_path / "adapter.json"), "--out", str(tmp_path / "t")])
+    assert code == 1
+    assert capsys.readouterr().err == f"fedfilm transform: {line}\n"
+    assert sorted(tmp_path.iterdir()) == before  # no --out, no part file
+
+
 def test_evaluate_report_and_arithmetic(synth_dir, tmp_path, capsys):
     out = tmp_path / "eval"
     code = run(["evaluate", "--embeddings", str(synth_dir / "embeddings.csv"),

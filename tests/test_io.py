@@ -8,8 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedfilm import CellMetadata, EmbeddingMatrix, FilmAdapter, TrainConfig, identity_adapter
+from fedfilm import (CellMetadata, EmbeddingMatrix, FilmAdapter, TrainConfig, apply_adapter, cli,
+                     identity_adapter)
 from fedfilm import io as fio
+from fedfilm.core import _ROW_CHUNK, corrected_rows
 from fedfilm.federation import RoundRecord
 from fedfilm.metrics import MetricsReport
 
@@ -527,6 +529,41 @@ def test_loading_and_saving_a_matrix_hold_a_few_copies_of_its_values(tmp_path):
     assert traced_peak(lambda: fio.load_embedding_matrix(path)) <= 2 * emb.values.nbytes
 
 
+def large_instance(n=20_000, d=32):
+    """A matrix of 4 batches and 8 cell types, 20,000 x 32 by default, its
+    metadata and an adapter."""
+    rng = np.random.default_rng(13)
+    ids = tuple(f"cell{i}" for i in range(n))
+    emb = EmbeddingMatrix(ids, rng.standard_normal((n, d)))
+    meta = CellMetadata.from_columns(list(ids), [f"batch{i}" for i in rng.integers(0, 4, n)],
+                                     [f"type{i}" for i in rng.integers(0, 8, n)])
+    adapter = FilmAdapter(meta.batch_names, rng.uniform(0.5, 2.0, (4, d)),
+                          rng.standard_normal((4, d)))
+    return emb, meta, adapter
+
+
+def test_loading_metadata_holds_no_per_row_names(tmp_path):
+    emb, meta, _ = large_instance()
+    path = tmp_path / "meta.csv"
+    fio.save_metadata(path, meta)
+    # the ids, their uniqueness check and the codes; a string column per
+    # name column alone holds about 0.5x the values' bytes
+    assert traced_peak(lambda: fio.load_metadata(path)) < 0.8 * emb.values.nbytes
+
+
+def test_transform_writes_its_rows_without_a_result_table(tmp_path):
+    emb, meta, adapter = large_instance()
+    fio.save_embeddings(tmp_path / "emb.csv", emb)
+    fio.save_metadata(tmp_path / "meta.csv", meta)
+    emb, meta = fio.load_embeddings(tmp_path / "emb.csv", tmp_path / "meta.csv")
+    streamed = traced_peak(lambda: fio.save_embedding_rows(
+        tmp_path / "streamed.csv", emb.cell_ids, emb.d, corrected_rows(emb, meta, adapter)))
+    whole = traced_peak(lambda: fio.save_embeddings(tmp_path / "whole.csv",
+                                                    apply_adapter(emb, meta, adapter)))
+    assert streamed < 0.5 * emb.values.nbytes <= whole
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 @pytest.mark.parametrize("field, value", [("knn_k", 2.0), ("kmeans_restarts", True),
                                           ("threads", "1"), ("metric_subset", None)])
 def test_run_config_values_of_the_wrong_type_name_their_field(field, value):
@@ -629,6 +666,24 @@ def test_metadata_split_into_ranges_reads_and_writes_as_one_range(tmp_path, rang
     loaded = fio.load_metadata(tmp_path / "one.csv")
     assert loaded.cell_ids == meta.cell_ids
     assert loaded.batch_of == meta.batch_of and loaded.label_of == meta.label_of
+
+
+@pytest.mark.parametrize("n", [_ROW_CHUNK - 1, _ROW_CHUNK + 1])
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_streamed_transform_is_the_saved_applied_matrix(tmp_path, ranges, count, n):
+    emb, meta, adapter = large_instance(n=n, d=3)
+    fio.save_embeddings(tmp_path / "emb.csv", emb)
+    fio.save_metadata(tmp_path / "meta.csv", meta)
+    fio.save_adapter(tmp_path / "adapter.json", adapter)
+    fio.save_embeddings(tmp_path / "whole.csv", apply_adapter(emb, meta, adapter))
+    ranges(count)
+    assert cli.main(["transform", "--embeddings", str(tmp_path / "emb.csv"),
+                     "--metadata", str(tmp_path / "meta.csv"),
+                     "--adapter", str(tmp_path / "adapter.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(fio._line_ranges(tmp_path / "whole.csv")) == count + 1
+    assert (tmp_path / "out" / "corrected_embeddings.csv").read_bytes() \
+        == (tmp_path / "whole.csv").read_bytes()
 
 
 DATA_ROWS = [f"c{i},{i}.5,-{i}.25" for i in range(12)]

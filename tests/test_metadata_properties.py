@@ -6,13 +6,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedfilm import CellMetadata, EmbeddingMatrix, FilmAdapter, apply_adapter
 from fedfilm import io as fio
 from fedfilm.core import batch_row_indices, encode_groups
 
 from reference import elementwise_adapter
+from test_io_properties import ranges
 
 CELL_IDS = st.text(alphabet=string.ascii_letters + string.digits + "_.-",
                    min_size=1, max_size=6)
@@ -112,6 +113,29 @@ def test_metadata_file_round_trip_is_exact(cols):
     assert loaded.label_names == meta.label_names
     if labels is not None:
         assert np.array_equal(loaded.label_codes, meta.label_codes)
+
+
+@PROPERTY_SETTINGS
+@given(columns(names=FILE_NAMES), st.integers(1, 6))
+# names first seen in a later range, with and without a cell_type column
+@example((["c0", "c1", "c2", "c3", "c4", "c5"], ["a", "a", "b", "a", "c", "b"],
+          ["t", "t", "t", "u", "u", "v"]), 3)
+@example((["c0", "c1", "c2", "c3", "c4", "c5"], ["a", "a", "b", "a", "c", "b"], None), 6)
+def test_metadata_coded_as_parsed_is_from_columns_in_any_ranges(cols, count):
+    ids, batches, labels = cols
+    want = CellMetadata.from_columns(ids, batches, labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "meta.csv")
+        fio.save_metadata(path, want)
+        with ranges(count):
+            got = fio.load_metadata(path)
+    assert (got.cell_ids, got.batch_names, got.label_names) \
+        == (want.cell_ids, want.batch_names, want.label_names)
+    assert np.array_equal(got.batch_codes, want.batch_codes)
+    if labels is None:
+        assert got.label_codes is None
+    else:
+        assert np.array_equal(got.label_codes, want.label_codes)
 
 
 @PROPERTY_SETTINGS
