@@ -237,6 +237,8 @@ def items_at(seq, indices) -> list:
 
 def _positions(ids, wanted, missing: str) -> np.ndarray:
     """Index in ``ids`` of each wanted id; raises ``missing.format(id)``."""
+    if wanted is ids:  # the very tuple held, as a matrix and its loaded metadata share
+        return np.arange(len(ids), dtype=np.intp)
     index = dict(zip(ids, range(len(ids))))
     try:
         return np.fromiter(map(index.__getitem__, wanted), dtype=np.intp)

@@ -187,9 +187,39 @@ def _run(pool, tasks) -> list:
     return [first] + [future.result() for future in futures]
 
 
-def _row_block_size(n: int) -> int:
-    # cap each block's distance slice at ~64 MB so big inputs stay in memory
-    return max(32, min(n, (1 << 23) // max(n, 1)))
+def _panel_rows(n: int, parts: int) -> int:
+    """Rows of each part's panel of distances when an (n, n) sweep is cut
+    into blocks: a multiple of 32 whose panel holds at least _PANEL_ENTRIES
+    entries, and at least 64 rows while ``parts`` such panels stay within
+    _BLOCK_ENTRIES; never under 32 rows."""
+    least = 64 if parts * 64 * n <= _BLOCK_ENTRIES else _CHUNK_ROWS
+    return max(least, _CHUNK_ROWS * -(-_PANEL_ENTRIES // (_CHUNK_ROWS * max(n, 1))))
+
+
+def _panel_plan(n: int, parts: int) -> list[list[int]]:
+    """The sweep's row blocks, each as its parts' cuts ``[start, ..., stop]``.
+
+    A block is ``parts`` panels of ``_panel_rows`` rows; a remainder shorter
+    than one panel joins the block before it, and a longer one is a last
+    block cut into parts of at least half a panel. When one
+    block would cover every row, the whole matrix is one block, cut into
+    parts of at least 32 rows. Cuts fall at multiples of 32 rows.
+    """
+    per = _panel_rows(n, parts)
+    starts = [0] if parts * per >= n else list(range(0, n, parts * per))
+    if len(starts) > 1 and n - starts[-1] < per:
+        starts.pop()
+    # half a panel, 2^19 distances, still keeps both products of a part off
+    # the small-matrix path: there are at least two groups, and a product
+    # with d = 1 has no sum to round
+    least = -(-per // (2 * _CHUNK_ROWS)) * _CHUNK_ROWS if len(starts) > 1 else _CHUNK_ROWS
+    plan = []
+    for start, stop in zip(starts, starts[1:] + [n]):
+        # each part gets whole _CHUNK_ROWS-row chunks, the last the rest too
+        chunks = (stop - start) // _CHUNK_ROWS
+        used = max(1, min(parts, (stop - start) // least))
+        plan.append([start + (i * chunks // used) * _CHUNK_ROWS for i in range(used)] + [stop])
+    return plan
 
 
 def _distance_sweep(values, k: int | None, codes):
@@ -198,9 +228,9 @@ def _distance_sweep(values, k: int | None, codes):
     Returns ``(neighbors, silhouette)``: the (N, k) nearest-neighbor lists,
     self excluded and ties broken by the lower row index, when ``k`` is
     given, and the per-cell silhouette of the grouping ``codes`` when those
-    are given; the entry not asked for is None. Each block of rows has its
-    squared distances built once, in place in one reused buffer, and feeds
-    both.
+    are given; the entry not asked for is None. Each part of rows has its
+    squared distances built once, in place in its lane's reused panel, and
+    feeds both.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -219,49 +249,56 @@ def _distance_sweep(values, k: int | None, codes):
         onehot[np.arange(n), coded] = 1.0
         sums = np.empty((n, len(groups)))  # total distance from each cell to each group
     sq = np.sum(values * values, axis=1)
-    step = _row_block_size(n)
-    gram = np.empty((min(step, n), n))  # each block's squared distances, in place
 
-    def part(pair_sq, start, lo, hi):
-        """Rows lo to hi of the block from ``start``, in chunks as tall as
-        ``pair_sq``, their own scratch."""
-        d2 = np.matmul(2.0 * values[lo:hi], values.T, out=gram[lo - start:hi - start])
-        for a in range(lo, hi, len(pair_sq)):
-            b = min(a + len(pair_sq), hi)
-            own = (np.arange(b - a), np.arange(a, b))  # each row's self entry
-            # (|x|^2 + |y|^2) - (2x) @ y.T, rounded exactly as the unbuffered form
-            chunk = d2[a - lo:b - lo]
-            np.subtract(np.add(sq[a:b, None], sq[None, :], out=pair_sq[:b - a]),
-                        chunk, out=chunk)
-            np.maximum(chunk, 0.0, out=chunk)
-            if neighbors is not None:
-                chunk[own] = np.inf
-                neighbors[a:b] = _nearest(chunk, k)
+    def lane(spans, chunk_rows):
+        """Rows lo to hi of each of ``spans`` in turn, each in this lane's
+        own panel, finished ``chunk_rows`` rows at a time."""
+        panel = np.empty((max(hi - lo for lo, hi in spans), n))
+        pair_sq = np.empty((chunk_rows, n))
+        for lo, hi in spans:
+            d2 = np.matmul(2.0 * values[lo:hi], values.T, out=panel[:hi - lo])
+            for a in range(lo, hi, chunk_rows):
+                b = min(a + chunk_rows, hi)
+                own = (np.arange(b - a), np.arange(a, b))  # each row's self entry
+                # (|x|^2 + |y|^2) - (2x) @ y.T, rounded exactly as the unbuffered form
+                chunk = d2[a - lo:b - lo]
+                np.subtract(np.add(sq[a:b, None], sq[None, :], out=pair_sq[:b - a]),
+                            chunk, out=chunk)
+                np.maximum(chunk, 0.0, out=chunk)
+                if neighbors is not None:
+                    chunk[own] = np.inf
+                    neighbors[a:b] = _nearest(chunk, k)
+                if sums is not None:
+                    chunk[own] = 0.0
+                    np.sqrt(chunk, out=chunk)
             if sums is not None:
-                chunk[own] = 0.0
-                np.sqrt(chunk, out=chunk)
-        if sums is not None:
-            np.matmul(d2, onehot, out=sums[lo:hi])
+                np.matmul(d2, onehot, out=sums[lo:hi])
 
     with _cpu_threads() as (parts, pool):
-        # the parts' chunks together are _CHUNK_ROWS tall, as one part's are
-        scratch = [np.empty((min(max(1, _CHUNK_ROWS // parts), n), n)) for _ in range(parts)]
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            # each part gets whole _CHUNK_ROWS-row chunks, the last the rest too
-            chunks = (stop - start) // _CHUNK_ROWS
-            used = max(1, min(parts, chunks))
-            cuts = [start + (i * chunks // used) * _CHUNK_ROWS for i in range(used)] + [stop]
-            _run(pool, [partial(part, pair_sq, start, lo, hi)
-                        for pair_sq, lo, hi in zip(scratch, cuts, cuts[1:])])
+        # part i of every block runs on lane i; the lanes meet only at the
+        # end, not after every block
+        plan = _panel_plan(n, parts)
+        lanes = [[(cuts[i], cuts[i + 1]) for cuts in plan if i + 1 < len(cuts)]
+                 for i in range(parts)]
+        # the lanes' chunks together are _CHUNK_ROWS tall, as one lane's are
+        chunk_rows = min(max(1, _CHUNK_ROWS // parts), n)
+        _run(pool, [partial(lane, spans, chunk_rows) for spans in lanes if spans])
     silhouette = None if sums is None else _silhouette_from_sums(sums, coded)
     return neighbors, silhouette
 
 
-# rows finished at a time after a block's matmul: a chunk stays in cache from
+# rows finished at a time after a part's matmul: a chunk stays in cache from
 # assembly through selection and sqrt, and _nearest's (rows, N) candidate
 # mask stays small enough to be reused from the heap
 _CHUNK_ROWS = 32
+
+# OpenBLAS runs a product of m * n * k up to 10^6 on its small-matrix path,
+# which rounds differently: a panel of at least 2^20 distances keeps both of
+# a part's products (rows x d x n and rows x n x groups) off it. Parts under
+# 64 rows ran slower, so a panel takes 64 while all CPUs' panels together
+# stay within 2^23 distances.
+_PANEL_ENTRIES = 1 << 20
+_BLOCK_ENTRIES = 1 << 23
 
 # _nearest bounds each row's k-th distance by the k-th smallest of every
 # _SAMPLE_STRIDE-th column; any stride is exact, 4 was the fastest measured

@@ -97,11 +97,13 @@ def slow_ari(a, b):
     return num / den
 
 
-def slow_silhouette(values, codes):
+def slow_silhouette(values, codes, rows=None):
+    """Per-cell silhouettes, of ``rows`` only when given (all cells by default)."""
     values = np.asarray(values, dtype=np.float64)
     n = len(codes)
-    s = np.zeros(n)
-    for i in range(n):
+    rows = range(n) if rows is None else list(rows)
+    s = np.zeros(len(rows))
+    for r, i in enumerate(rows):
         same = [j for j in range(n) if codes[j] == codes[i] and j != i]
         if not same:
             continue
@@ -113,16 +115,17 @@ def slow_silhouette(values, codes):
             others = [j for j in range(n) if codes[j] == g]
             b = min(b, np.mean([math.dist(values[i], values[j]) for j in others]))
         m = max(a, b)
-        s[i] = 0.0 if m == 0 else (b - a) / m
+        s[r] = 0.0 if m == 0 else (b - a) / m
     return s
 
 
-def slow_knn(values, k):
-    """Neighbor lists by sorting full distance lists per point."""
+def slow_knn(values, k, rows=None):
+    """Neighbor lists by sorting full distance lists per point, of ``rows``
+    only when given (all points by default)."""
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     out = []
-    for i in range(n):
+    for i in range(n) if rows is None else rows:
         dists = sorted(
             (math.dist(values[i], values[j]), j) for j in range(n) if j != i
         )

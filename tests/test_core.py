@@ -244,3 +244,28 @@ def test_restricting_metadata_holds_no_set_of_its_ids():
     # set of 20,000 ids alone holds 0.4x the bytes of an (n, 32) float64 table
     assert peak < 0.4 * n * 32 * 8
     assert sub.cell_ids == tuple(wanted)
+
+
+def test_rows_for_the_held_id_tuple_builds_no_id_index():
+    n = 20_000
+    rng = np.random.default_rng(7)
+    ids = tuple(f"cell{i}" for i in range(n))
+    meta = CellMetadata.from_columns(ids, rng.integers(0, 4, n).astype(str))
+    emb = EmbeddingMatrix(ids, np.zeros((n, 1)))
+    for held in (meta, emb):
+        tracemalloc.start()
+        try:
+            rows = held.rows_for(held.cell_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the returned rows alone; an id -> row dict of 20,000 ids is about 8x them
+        assert peak < 1.5 * n * np.dtype(np.intp).itemsize
+        assert rows.dtype == np.intp
+        assert np.array_equal(rows, held.rows_for(list(held.cell_ids)))  # the dict path
+        order = rng.permutation(n)
+        assert np.array_equal(held.rows_for(tuple(ids[i] for i in order)), order)
+    with pytest.raises(ValidationError, match="^cell 'nope' has no batch assignment$"):
+        meta.rows_for(meta.cell_ids + ("nope",))
+    with pytest.raises(ValidationError, match="^unknown cell id 'nope'$"):
+        emb.rows_for(emb.cell_ids + ("nope",))

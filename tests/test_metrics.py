@@ -400,7 +400,7 @@ def test_neighbor_graph_ties_match_bruteforce():
 
 
 def test_neighbor_graph_ties_across_row_blocks():
-    # 3000 rows take two row blocks, the second one short
+    # 3000 rows take several row blocks, a short remainder joined to the last
     values = integer_points(23, 3000, 2, 30)
     n = len(values)
     for k in (1, 5, 15):
@@ -874,8 +874,91 @@ def test_distance_sweep_holds_one_block_of_distances():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert metrics._row_block_size(1000) == 1000  # one (1000, 1000) block
+    plan = metrics._panel_plan(1000, metrics.usable_cpus())
+    assert [(cuts[0], cuts[-1]) for cuts in plan] == [(0, 1000)]  # one (1000, 1000) block
     assert peak <= 1.3 * 1000 * 1000 * 8
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_a_matrix_that_one_block_covers_keeps_its_cuts(cpus):
+    # 31 whole 32-row chunks, one part per CPU while each gets one
+    used = min(cpus, 31)
+    assert metrics._panel_plan(1000, cpus) == [
+        [(i * 31 // used) * 32 for i in range(used)] + [1000]]
+
+
+@pytest.mark.parametrize("n, cpus, rows", [
+    (20_000, 1, 64), (20_000, 2, 64), (20_000, 8, 64),
+    (50_000, 1, 64), (50_000, 2, 64), (50_000, 8, 32),
+    (200_000, 1, 32), (200_000, 2, 32), (200_000, 8, 32),
+])
+def test_panel_plan_gives_every_cpu_a_panel(n, cpus, rows):
+    assert metrics._panel_rows(n, cpus) == rows
+    assert rows * n >= 1 << 20  # a panel's products stay on the large-matrix path
+    plan = metrics._panel_plan(n, cpus)
+    assert plan[0][0] == 0 and plan[-1][-1] == n
+    assert all(a[-1] == b[0] for a, b in zip(plan, plan[1:]))
+    for cuts in plan[:-1]:  # every block but the last: one panel per CPU
+        assert cuts == list(range(cuts[0], cuts[0] + (cpus + 1) * rows, rows))
+    last = plan[-1]  # a remainder of at least one panel, in parts of at least half a panel
+    assert last[-1] - last[0] >= rows
+    assert all(hi - lo >= max(32, rows // 2) for lo, hi in zip(last, last[1:]))
+    assert len(last) - 1 <= cpus and all(cut % 32 == 0 for cut in last[:-1])
+    # the largest block's distances: the panels, and a remainder under one panel
+    assert cpus * rows * n <= max(c[-1] - c[0] for c in plan) * n < (cpus + 1) * rows * n
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_distance_sweep_holds_its_panels_of_distances(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    n = 4000
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((n, 8))
+    codes = rng.integers(0, 4, n)
+    parts = cpus if metrics._openblas_controls() else 1
+    plan = metrics._panel_plan(n, parts)
+    # each CPU's panel holds the tallest of the parts it runs
+    panels = sum(max(cuts[i + 1] - cuts[i] for cuts in plan if i + 1 < len(cuts))
+                 for i in range(parts))
+    tracemalloc.start()
+    try:
+        metrics._distance_sweep(values, 15, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the planned panels (not a 64 MB block) and the chunk scratch
+    assert peak <= 1.3 * (panels + metrics._CHUNK_ROWS) * n * 8
+
+
+def test_sweep_results_do_not_depend_on_the_panels_or_the_cpu_count(monkeypatch):
+    n = 3000
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((n, 16))
+    groupings = [rng.integers(0, groups, n) for groups in (2, 4)]
+    results, joined = [], False
+    for height in (None, 32, 96, 160, 1024):  # None: the planned panels
+        if height is not None:
+            monkeypatch.setattr(metrics, "_panel_rows", lambda n, parts, rows=height: rows)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            parts = cpus if metrics._openblas_controls() else 1
+            last = metrics._panel_plan(n, parts)[-1]
+            joined |= height is not None and last[-1] - last[0] > parts * height
+            results.append([metrics._distance_sweep(values, 15, codes) for codes in groupings])
+    assert joined  # some height leaves a short remainder for the block before it
+    want = results[0]
+    for got in results[1:]:
+        for (neighbors, silhouette), (want_neighbors, want_silhouette) in zip(got, want):
+            assert np.array_equal(neighbors, want_neighbors)
+            assert np.allclose(silhouette, want_silhouette, rtol=0, atol=1e-12)
+    # the slow references take about 20 ms a row: both ends, both sides of
+    # some cuts, and a sample
+    rows = sorted({0, 31, 32, 95, 96, 159, 160, 1023, 1024, 2879, 2880, n - 1,
+                   *rng.choice(n, 30, replace=False).tolist()})
+    assert want[0][0][rows].tolist() == slow_knn(values, 15, rows)
+    for codes, (_, silhouette) in zip(groupings, want):
+        assert np.allclose(silhouette[rows], slow_silhouette(values, codes.tolist(), rows),
+                           rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("call", ["sweep", "kmeans"])
@@ -937,3 +1020,24 @@ def test_sweep_and_kmeans_on_more_threads_than_cpus_under_fast_switching(monkeyp
     assert np.array_equal(got[0], want[0])
     assert np.allclose(got[1], want[1], rtol=0, atol=1e-12)
     assert got[2].tobytes() == want[2].tobytes() and got[3] == want[3]
+
+
+def test_sweep_lanes_of_several_parts_under_fast_switching(monkeypatch):
+    # 32-row panels on eight threads: each thread runs a part of every block
+    # in its own panel, so a lane that wrote into another's rows shows
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((700, 3))
+    codes = rng.integers(0, 3, 700)
+    monkeypatch.setattr(metrics, "_panel_rows", lambda n, parts: 32)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    want = metrics._distance_sweep(values, 7, codes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert len(metrics._panel_plan(700, 8)) > 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = metrics._distance_sweep(values, 7, codes)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got[0], want[0])
+    assert np.allclose(got[1], want[1], rtol=0, atol=1e-12)
