@@ -187,13 +187,10 @@ def _run(pool, tasks) -> list:
     return [first] + [future.result() for future in futures]
 
 
-def _panel_rows(n: int, parts: int) -> int:
+def _panel_rows(n: int) -> int:
     """Rows of each part's panel of distances when an (n, n) sweep is cut
-    into blocks: a multiple of 32 whose panel holds at least _PANEL_ENTRIES
-    entries, and at least 64 rows while ``parts`` such panels stay within
-    _BLOCK_ENTRIES; never under 32 rows."""
-    least = 64 if parts * 64 * n <= _BLOCK_ENTRIES else _CHUNK_ROWS
-    return max(least, _CHUNK_ROWS * -(-_PANEL_ENTRIES // (_CHUNK_ROWS * max(n, 1))))
+    into blocks: the fewest whole 32-row chunks that hold _PANEL_ENTRIES."""
+    return _CHUNK_ROWS * -(-_PANEL_ENTRIES // (_CHUNK_ROWS * max(n, 1)))
 
 
 def _panel_plan(n: int, parts: int) -> list[list[int]]:
@@ -204,8 +201,12 @@ def _panel_plan(n: int, parts: int) -> list[list[int]]:
     block cut into parts of at least half a panel. When one
     block would cover every row, the whole matrix is one block, cut into
     parts of at least 32 rows. Cuts fall at multiples of 32 rows.
+
+    Every part is under two panels tall, so the lanes, one per part of a
+    block, hold fewer than ``2 * parts * per * n`` distances, where
+    ``per * n < 2^20 + 32 n``: under 16 MB plus 512 bytes a cell per CPU.
     """
-    per = _panel_rows(n, parts)
+    per = _panel_rows(n)
     starts = [0] if parts * per >= n else list(range(0, n, parts * per))
     if len(starts) > 1 and n - starts[-1] < per:
         starts.pop()
@@ -294,11 +295,8 @@ _CHUNK_ROWS = 32
 
 # OpenBLAS runs a product of m * n * k up to 10^6 on its small-matrix path,
 # which rounds differently: a panel of at least 2^20 distances keeps both of
-# a part's products (rows x d x n and rows x n x groups) off it. Parts under
-# 64 rows ran slower, so a panel takes 64 while all CPUs' panels together
-# stay within 2^23 distances.
+# a part's products (rows x d x n and rows x n x groups) off it
 _PANEL_ENTRIES = 1 << 20
-_BLOCK_ENTRIES = 1 << 23
 
 # _nearest bounds each row's k-th distance by the k-th smallest of every
 # _SAMPLE_STRIDE-th column; any stride is exact, 4 was the fastest measured

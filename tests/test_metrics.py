@@ -879,33 +879,40 @@ def test_distance_sweep_holds_one_block_of_distances():
     assert peak <= 1.3 * 1000 * 1000 * 8
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 8])
-def test_a_matrix_that_one_block_covers_keeps_its_cuts(cpus):
-    # 31 whole 32-row chunks, one part per CPU while each gets one
-    used = min(cpus, 31)
-    assert metrics._panel_plan(1000, cpus) == [
-        [(i * 31 // used) * 32 for i in range(used)] + [1000]]
-
-
 @pytest.mark.parametrize("n, cpus, rows", [
-    (20_000, 1, 64), (20_000, 2, 64), (20_000, 8, 64),
-    (50_000, 1, 64), (50_000, 2, 64), (50_000, 8, 32),
-    (200_000, 1, 32), (200_000, 2, 32), (200_000, 8, 32),
+    (n, cpus, rows)
+    for n, rows in [(1000, 1056), (20_000, 64), (50_000, 32), (200_000, 32)]
+    for cpus in (1, 2, 8)
 ])
 def test_panel_plan_gives_every_cpu_a_panel(n, cpus, rows):
-    assert metrics._panel_rows(n, cpus) == rows
+    assert metrics._panel_rows(n) == rows
     assert rows * n >= 1 << 20  # a panel's products stay on the large-matrix path
     plan = metrics._panel_plan(n, cpus)
-    assert plan[0][0] == 0 and plan[-1][-1] == n
-    assert all(a[-1] == b[0] for a, b in zip(plan, plan[1:]))
-    for cuts in plan[:-1]:  # every block but the last: one panel per CPU
-        assert cuts == list(range(cuts[0], cuts[0] + (cpus + 1) * rows, rows))
-    last = plan[-1]  # a remainder of at least one panel, in parts of at least half a panel
-    assert last[-1] - last[0] >= rows
-    assert all(hi - lo >= max(32, rows // 2) for lo, hi in zip(last, last[1:]))
-    assert len(last) - 1 <= cpus and all(cut % 32 == 0 for cut in last[:-1])
-    # the largest block's distances: the panels, and a remainder under one panel
-    assert cpus * rows * n <= max(c[-1] - c[0] for c in plan) * n < (cpus + 1) * rows * n
+    if cpus * rows >= n:
+        # one block: whole 32-row chunks, one part per CPU while each gets one
+        chunks = n // 32
+        used = min(cpus, chunks)
+        assert plan == [[(i * chunks // used) * 32 for i in range(used)] + [n]]
+    else:
+        assert plan[0][0] == 0 and plan[-1][-1] == n
+        assert all(a[-1] == b[0] for a, b in zip(plan, plan[1:]))
+        for cuts in plan[:-1]:  # every block but the last: one panel per CPU
+            assert cuts == list(range(cuts[0], cuts[0] + (cpus + 1) * rows, rows))
+        last = plan[-1]  # a remainder of at least one panel, in parts of at least half a panel
+        assert last[-1] - last[0] >= rows
+        assert all(hi - lo >= max(32, rows // 2) for lo, hi in zip(last, last[1:]))
+        assert len(last) - 1 <= cpus and all(cut % 32 == 0 for cut in last[:-1])
+    # each CPU's lane holds a panel as tall as the tallest of its parts
+    lanes = [max(cuts[i + 1] - cuts[i] for cuts in plan if i + 1 < len(cuts))
+             for i in range(len(plan[0]) - 1)]
+    assert len(lanes) == min(cpus, n // 32) and min(lanes) >= 32
+    # the bound the plan states: every part under two panels, so all lanes
+    # together under 16 MB plus 512 bytes a cell per CPU
+    assert max(lanes) < 2 * rows and rows * n < (1 << 20) + 32 * n
+    assert sum(lanes) * n < 2 * cpus * ((1 << 20) + 32 * n)
+    if n == 200_000 and cpus == 8:
+        # one 32-row panel per CPU: 410 MB of distances, 8 times one CPU's
+        assert sum(lanes) * n == 8 * 32 * 200_000
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -938,7 +945,7 @@ def test_sweep_results_do_not_depend_on_the_panels_or_the_cpu_count(monkeypatch)
     results, joined = [], False
     for height in (None, 32, 96, 160, 1024):  # None: the planned panels
         if height is not None:
-            monkeypatch.setattr(metrics, "_panel_rows", lambda n, parts, rows=height: rows)
+            monkeypatch.setattr(metrics, "_panel_rows", lambda n, rows=height: rows)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
             parts = cpus if metrics._openblas_controls() else 1
@@ -1028,7 +1035,7 @@ def test_sweep_lanes_of_several_parts_under_fast_switching(monkeypatch):
     rng = np.random.default_rng(13)
     values = rng.standard_normal((700, 3))
     codes = rng.integers(0, 3, 700)
-    monkeypatch.setattr(metrics, "_panel_rows", lambda n, parts: 32)
+    monkeypatch.setattr(metrics, "_panel_rows", lambda n: 32)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     want = metrics._distance_sweep(values, 7, codes)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
