@@ -188,39 +188,23 @@ def _run(pool, tasks) -> list:
 
 
 def _panel_rows(n: int) -> int:
-    """Rows of each part's panel of distances when an (n, n) sweep is cut
-    into blocks: the fewest whole 32-row chunks that hold _PANEL_ENTRIES."""
+    """Rows of each panel of distances when an (n, n) sweep is cut into
+    panels: the fewest whole 32-row chunks that hold _PANEL_ENTRIES."""
     return _CHUNK_ROWS * -(-_PANEL_ENTRIES // (_CHUNK_ROWS * max(n, 1)))
 
 
-def _panel_plan(n: int, parts: int) -> list[list[int]]:
-    """The sweep's row blocks, each as its parts' cuts ``[start, ..., stop]``.
+def _panel_plan(n: int) -> list[int]:
+    """The sweep's panel cuts ``[0, per, 2 per, ..., n]``, ``per =
+    _panel_rows(n)``: a remainder shorter than one panel joins the last.
 
-    A block is ``parts`` panels of ``_panel_rows`` rows; a remainder shorter
-    than one panel joins the block before it, and a longer one is a last
-    block cut into parts of at least half a panel. When one
-    block would cover every row, the whole matrix is one block, cut into
-    parts of at least 32 rows. Cuts fall at multiples of 32 rows.
-
-    Every part is under two panels tall, so the lanes, one per part of a
-    block, hold fewer than ``2 * parts * per * n`` distances, where
-    ``per * n < 2^20 + 32 n``: under 16 MB plus 512 bytes a cell per CPU.
+    The cuts depend on ``n`` alone, so every product the sweep runs has the
+    same shape on any CPU count. Every panel is ``per`` rows but the last,
+    which is under ``2 per``. Each lane holds one panel buffer, so ``lanes``
+    lanes hold fewer than ``(lanes + 1) * per * n`` distances, where
+    ``per * n < 2^20 + 32 n``: 8 MB plus 256 bytes a cell.
     """
     per = _panel_rows(n)
-    starts = [0] if parts * per >= n else list(range(0, n, parts * per))
-    if len(starts) > 1 and n - starts[-1] < per:
-        starts.pop()
-    # half a panel, 2^19 distances, still keeps both products of a part off
-    # the small-matrix path: there are at least two groups, and a product
-    # with d = 1 has no sum to round
-    least = -(-per // (2 * _CHUNK_ROWS)) * _CHUNK_ROWS if len(starts) > 1 else _CHUNK_ROWS
-    plan = []
-    for start, stop in zip(starts, starts[1:] + [n]):
-        # each part gets whole _CHUNK_ROWS-row chunks, the last the rest too
-        chunks = (stop - start) // _CHUNK_ROWS
-        used = max(1, min(parts, (stop - start) // least))
-        plan.append([start + (i * chunks // used) * _CHUNK_ROWS for i in range(used)] + [stop])
-    return plan
+    return list(range(0, max(n - per, 0) + 1, per)) + [n]
 
 
 def _distance_sweep(values, k: int | None, codes):
@@ -229,8 +213,8 @@ def _distance_sweep(values, k: int | None, codes):
     Returns ``(neighbors, silhouette)``: the (N, k) nearest-neighbor lists,
     self excluded and ties broken by the lower row index, when ``k`` is
     given, and the per-cell silhouette of the grouping ``codes`` when those
-    are given; the entry not asked for is None. Each part of rows has its
-    squared distances built once, in place in its lane's reused panel, and
+    are given; the entry not asked for is None. Each panel of rows has its
+    squared distances built once, in place in its lane's reused buffer, and
     feeds both.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -276,26 +260,25 @@ def _distance_sweep(values, k: int | None, codes):
                 np.matmul(d2, onehot, out=sums[lo:hi])
 
     with _cpu_threads() as (parts, pool):
-        # part i of every block runs on lane i; the lanes meet only at the
-        # end, not after every block
-        plan = _panel_plan(n, parts)
-        lanes = [[(cuts[i], cuts[i + 1]) for cuts in plan if i + 1 < len(cuts)]
-                 for i in range(parts)]
+        # panel i runs on lane i % lanes; the lanes meet only at the end
+        cuts = _panel_plan(n)
+        spans = list(zip(cuts, cuts[1:]))
+        lanes = min(parts, len(spans))
         # the lanes' chunks together are _CHUNK_ROWS tall, as one lane's are
-        chunk_rows = min(max(1, _CHUNK_ROWS // parts), n)
-        _run(pool, [partial(lane, spans, chunk_rows) for spans in lanes if spans])
+        chunk_rows = min(max(1, _CHUNK_ROWS // lanes), n)
+        _run(pool, [partial(lane, spans[i::lanes], chunk_rows) for i in range(lanes)])
     silhouette = None if sums is None else _silhouette_from_sums(sums, coded)
     return neighbors, silhouette
 
 
-# rows finished at a time after a part's matmul: a chunk stays in cache from
+# rows finished at a time after a panel's matmul: a chunk stays in cache from
 # assembly through selection and sqrt, and _nearest's (rows, N) candidate
 # mask stays small enough to be reused from the heap
 _CHUNK_ROWS = 32
 
 # OpenBLAS runs a product of m * n * k up to 10^6 on its small-matrix path,
 # which rounds differently: a panel of at least 2^20 distances keeps both of
-# a part's products (rows x d x n and rows x n x groups) off it
+# a panel's products (rows x d x n and rows x n x groups) off it
 _PANEL_ENTRIES = 1 << 20
 
 # _nearest bounds each row's k-th distance by the k-th smallest of every
@@ -784,7 +767,8 @@ def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 def pcr_score(values, batches, max_components: int = 50) -> float:
     """1 minus the mean R^2 of regressing each principal component's scores on
-    one-hot batch indicators (least squares via pseudo-inverse).
+    one-hot batch indicators. The least-squares fit on such indicators is
+    each batch's mean score, so the fitted values are per-batch means.
 
     Components with zero variance contribute R^2 = 0. Higher is better
     (less batch-associated variance).
@@ -802,16 +786,15 @@ def pcr_score(values, batches, max_components: int = 50) -> float:
     m = min(d, max_components)
     comps = centered @ axes[:, :m]
 
-    design = (batches[:, None] == np.arange(len(batch_order))).astype(np.float64)
-    coef, *_ = np.linalg.lstsq(design, comps, rcond=None)
-    fitted = design @ coef
+    counts = np.bincount(batches)
     r2 = np.zeros(m)
     for j in range(m):
         t = comps[:, j]
         ss_tot = float(np.sum((t - t.mean()) ** 2))
         if ss_tot == 0.0:
             continue
-        ss_res = float(np.sum((t - fitted[:, j]) ** 2))
+        fitted = (np.bincount(batches, weights=t) / counts)[batches]
+        ss_res = float(np.sum((t - fitted) ** 2))
         r2[j] = 1.0 - ss_res / ss_tot
     return float(1.0 - np.mean(r2))
 

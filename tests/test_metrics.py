@@ -874,9 +874,16 @@ def test_distance_sweep_holds_one_block_of_distances():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    plan = metrics._panel_plan(1000, metrics.usable_cpus())
-    assert [(cuts[0], cuts[-1]) for cuts in plan] == [(0, 1000)]  # one (1000, 1000) block
+    assert metrics._panel_plan(1000) == [0, 1000]  # one (1000, 1000) panel
     assert peak <= 1.3 * 1000 * 1000 * 8
+
+
+def lane_buffers(cuts, parts):
+    """Rows of each lane's panel buffer when the panels between ``cuts`` are
+    dealt to ``parts`` lanes in turn: the tallest panel the lane runs."""
+    spans = list(zip(cuts, cuts[1:]))
+    lanes = min(parts, len(spans))
+    return [max(hi - lo for lo, hi in spans[i::lanes]) for i in range(lanes)]
 
 
 @pytest.mark.parametrize("n, cpus, rows", [
@@ -887,29 +894,22 @@ def test_distance_sweep_holds_one_block_of_distances():
 def test_panel_plan_gives_every_cpu_a_panel(n, cpus, rows):
     assert metrics._panel_rows(n) == rows
     assert rows * n >= 1 << 20  # a panel's products stay on the large-matrix path
-    plan = metrics._panel_plan(n, cpus)
-    if cpus * rows >= n:
-        # one block: whole 32-row chunks, one part per CPU while each gets one
-        chunks = n // 32
-        used = min(cpus, chunks)
-        assert plan == [[(i * chunks // used) * 32 for i in range(used)] + [n]]
-    else:
-        assert plan[0][0] == 0 and plan[-1][-1] == n
-        assert all(a[-1] == b[0] for a, b in zip(plan, plan[1:]))
-        for cuts in plan[:-1]:  # every block but the last: one panel per CPU
-            assert cuts == list(range(cuts[0], cuts[0] + (cpus + 1) * rows, rows))
-        last = plan[-1]  # a remainder of at least one panel, in parts of at least half a panel
-        assert last[-1] - last[0] >= rows
-        assert all(hi - lo >= max(32, rows // 2) for lo, hi in zip(last, last[1:]))
-        assert len(last) - 1 <= cpus and all(cut % 32 == 0 for cut in last[:-1])
-    # each CPU's lane holds a panel as tall as the tallest of its parts
-    lanes = [max(cuts[i + 1] - cuts[i] for cuts in plan if i + 1 < len(cuts))
-             for i in range(len(plan[0]) - 1)]
-    assert len(lanes) == min(cpus, n // 32) and min(lanes) >= 32
-    # the bound the plan states: every part under two panels, so all lanes
-    # together under 16 MB plus 512 bytes a cell per CPU
-    assert max(lanes) < 2 * rows and rows * n < (1 << 20) + 32 * n
-    assert sum(lanes) * n < 2 * cpus * ((1 << 20) + 32 * n)
+    cuts = metrics._panel_plan(n)
+    # panels of `rows` rows from row 0; a remainder shorter than one panel
+    # joins the last, so it is under two panels, and the input alone sets them
+    last = {1000: 1000, 20_000: 96, 50_000: 48, 200_000: 32}[n]
+    assert cuts == list(range(0, n - last + 1, rows)) + [n]
+    assert last < 2 * rows
+    # the panels are dealt to the CPUs in turn: every CPU gets one while
+    # there are as many panels as CPUs, and an input under two panels runs
+    # on one
+    lanes = lane_buffers(cuts, cpus)
+    assert len(lanes) == min(cpus, len(cuts) - 1)
+    # each lane's buffer is one panel tall, and the last panel's lane's as tall as it
+    assert sorted(lanes) == [rows] * (len(lanes) - 1) + [last]
+    # the bound the plan states: all lanes together under (lanes + 1) panels
+    # of under 2^20 + 32 n distances each
+    assert rows * n < (1 << 20) + 32 * n and sum(lanes) < (len(lanes) + 1) * rows
     if n == 200_000 and cpus == 8:
         # one 32-row panel per CPU: 410 MB of distances, 8 times one CPU's
         assert sum(lanes) * n == 8 * 32 * 200_000
@@ -923,17 +923,14 @@ def test_distance_sweep_holds_its_panels_of_distances(monkeypatch, cpus):
     values = rng.standard_normal((n, 8))
     codes = rng.integers(0, 4, n)
     parts = cpus if metrics._openblas_controls() else 1
-    plan = metrics._panel_plan(n, parts)
-    # each CPU's panel holds the tallest of the parts it runs
-    panels = sum(max(cuts[i + 1] - cuts[i] for cuts in plan if i + 1 < len(cuts))
-                 for i in range(parts))
+    panels = sum(lane_buffers(metrics._panel_plan(n), parts))
     tracemalloc.start()
     try:
         metrics._distance_sweep(values, 15, codes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the planned panels (not a 64 MB block) and the chunk scratch
+    # the lanes' panel buffers (not a 64 MB block) and the chunk scratch
     assert peak <= 1.3 * (panels + metrics._CHUNK_ROWS) * n * 8
 
 
@@ -946,13 +943,19 @@ def test_sweep_results_do_not_depend_on_the_panels_or_the_cpu_count(monkeypatch)
     for height in (None, 32, 96, 160, 1024):  # None: the planned panels
         if height is not None:
             monkeypatch.setattr(metrics, "_panel_rows", lambda n, rows=height: rows)
+            cuts = metrics._panel_plan(n)
+            joined |= cuts[-1] - cuts[-2] > height
+        by_cpus = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            parts = cpus if metrics._openblas_controls() else 1
-            last = metrics._panel_plan(n, parts)[-1]
-            joined |= height is not None and last[-1] - last[0] > parts * height
-            results.append([metrics._distance_sweep(values, 15, codes) for codes in groupings])
-    assert joined  # some height leaves a short remainder for the block before it
+            by_cpus.append([metrics._distance_sweep(values, 15, codes) for codes in groupings])
+        # the same panels give the same bytes on any CPU count
+        for got in by_cpus[1:]:
+            for (neighbors, silhouette), (want_neighbors, want_silhouette) in zip(got, by_cpus[0]):
+                assert neighbors.tobytes() == want_neighbors.tobytes()
+                assert silhouette.tobytes() == want_silhouette.tobytes()
+        results.append(by_cpus[0])
+    assert joined  # some height leaves a short remainder for the last panel
     want = results[0]
     for got in results[1:]:
         for (neighbors, silhouette), (want_neighbors, want_silhouette) in zip(got, want):
@@ -966,6 +969,31 @@ def test_sweep_results_do_not_depend_on_the_panels_or_the_cpu_count(monkeypatch)
     for codes, (_, silhouette) in zip(groupings, want):
         assert np.allclose(silhouette[rows], slow_silhouette(values, codes.tolist(), rows),
                            rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("run", ["sweep", "batch_asw"])
+def test_results_are_the_same_bytes_on_any_cpu_count(monkeypatch, run):
+    # inputs whose last bits followed the CPU count while the cuts did
+    if run == "sweep":
+        rng = np.random.default_rng(1000)
+        values = 3 * rng.standard_normal((1000, 16))
+        codes = rng.integers(0, 4, 1000)
+
+        def compute():
+            neighbors, silhouette = metrics._distance_sweep(values, 15, codes)
+            return neighbors.tobytes() + silhouette.tobytes()
+    else:
+        emb, meta, _ = generate(SynthSpec(4, 8, 32, 1250, effect_scale_range=(0.8, 1.25),
+                                          effect_shift_sigma=1.5, seed=3))
+
+        def compute():
+            asw = silhouette_batch_asw(emb.values, meta.batches_for(emb), meta.labels_for(emb))
+            return np.float64(asw).tobytes()
+    results = []
+    for cpus in (1, 2, 3, 4, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        results.append(compute())
+    assert results == [results[0]] * 5
 
 
 @pytest.mark.parametrize("call", ["sweep", "kmeans"])
@@ -990,6 +1018,8 @@ def test_a_failing_worker_thread_is_joined_and_the_blas_threads_restored(
         return run
 
     if call == "sweep":
+        # 32-row panels, so that 200 cells make panels for both lanes
+        monkeypatch.setattr(metrics, "_panel_rows", lambda n: 32)
         monkeypatch.setattr(metrics, "_nearest", failing(metrics._nearest))
         run = lambda: metrics._distance_sweep(values, 5, None)  # noqa: E731
     else:
@@ -1004,11 +1034,12 @@ def test_a_failing_worker_thread_is_joined_and_the_blas_threads_restored(
 
 
 def test_sweep_and_kmeans_on_more_threads_than_cpus_under_fast_switching(monkeypatch):
-    # eight parts on at most a few CPUs, switching threads every microsecond:
-    # parts that shared a row of a buffer would lose each other's writes
+    # eight lanes on at most a few CPUs, switching threads every microsecond:
+    # lanes that shared a row of a buffer would lose each other's writes
     rng = np.random.default_rng(10)
     values = rng.standard_normal((700, 3))
     codes = rng.integers(0, 3, 700)
+    monkeypatch.setattr(metrics, "_panel_rows", lambda n: 32)  # 700 cells in 21 panels
 
     def run():
         neighbors, silhouette = metrics._distance_sweep(values, 7, codes)
@@ -1024,14 +1055,13 @@ def test_sweep_and_kmeans_on_more_threads_than_cpus_under_fast_switching(monkeyp
         got = run()
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(got[0], want[0])
-    assert np.allclose(got[1], want[1], rtol=0, atol=1e-12)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     assert got[2].tobytes() == want[2].tobytes() and got[3] == want[3]
 
 
 def test_sweep_lanes_of_several_parts_under_fast_switching(monkeypatch):
-    # 32-row panels on eight threads: each thread runs a part of every block
-    # in its own panel, so a lane that wrote into another's rows shows
+    # 32-row panels on eight threads: each thread runs every eighth panel in
+    # its own buffer, so a lane that wrote into another's rows shows
     rng = np.random.default_rng(13)
     values = rng.standard_normal((700, 3))
     codes = rng.integers(0, 3, 700)
@@ -1039,12 +1069,11 @@ def test_sweep_lanes_of_several_parts_under_fast_switching(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     want = metrics._distance_sweep(values, 7, codes)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert len(metrics._panel_plan(700, 8)) > 1
+    assert len(metrics._panel_plan(700)) - 1 > 8  # more panels than lanes
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         got = metrics._distance_sweep(values, 7, codes)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(got[0], want[0])
-    assert np.allclose(got[1], want[1], rtol=0, atol=1e-12)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()

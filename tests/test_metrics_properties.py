@@ -90,8 +90,9 @@ def test_nearest_equals_full_row_sort(case):
 
 @st.composite
 def sweep_cases(draw):
-    """Up to 600 cells, so a block holds up to 18 whole 32-row chunks to cut
-    into parts, a k, groups for the silhouette and a CPU count."""
+    """Up to 600 cells in panels of 32 to 128 rows, so up to 18 panels are
+    dealt to the lanes, a k, groups for the silhouette, a CPU count and the
+    panel height."""
     n, d = draw(st.integers(2, 600)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
@@ -99,7 +100,8 @@ def sweep_cases(draw):
     else:
         values = rng.standard_normal((n, d))
     codes = rng.permutation(np.arange(n) % draw(st.integers(2, min(n, 5))))
-    return values, draw(st.integers(1, min(n - 1, 20))), codes, draw(st.integers(1, 4))
+    return (values, draw(st.integers(1, min(n - 1, 20))), codes, draw(st.integers(1, 4)),
+            32 * draw(st.integers(1, 4)))
 
 
 def usable_cpus(count):
@@ -109,13 +111,15 @@ def usable_cpus(count):
 @PROPERTY_SETTINGS
 @given(sweep_cases())
 def test_distance_sweep_in_parts_equals_the_one_part_sweep(case):
-    values, k, codes, count = case
-    with usable_cpus(1):
-        neighbors, silhouette = metrics._distance_sweep(values, k, codes)
-    with usable_cpus(count):
-        got_neighbors, got_silhouette = metrics._distance_sweep(values, k, codes)
-    assert np.array_equal(got_neighbors, neighbors)
-    assert np.allclose(got_silhouette, silhouette, rtol=0, atol=1e-12)
+    values, k, codes, count, rows = case
+    # the planned panels hold 600 cells in one; smaller ones give the lanes work
+    with mock.patch.object(metrics, "_panel_rows", lambda n: rows):
+        with usable_cpus(1):
+            neighbors, silhouette = metrics._distance_sweep(values, k, codes)
+        with usable_cpus(count):
+            got_neighbors, got_silhouette = metrics._distance_sweep(values, k, codes)
+    assert got_neighbors.tobytes() == neighbors.tobytes()
+    assert got_silhouette.tobytes() == silhouette.tobytes()
 
 
 @st.composite
