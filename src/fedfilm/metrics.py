@@ -16,9 +16,8 @@ import contextvars
 import ctypes
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -137,16 +136,27 @@ _blas_holders = 0
 _blas_saved: list = []
 
 
-@contextmanager
-def _one_blas_thread(controls):
-    """Hold every OpenBLAS of ``controls`` at one thread, and restore the
-    counts it had when the last of the nested or concurrent holders leaves.
+def _in_lanes(items, work) -> list:
+    """Run ``work(items[i::lanes], lanes)`` on each lane i, which returns the
+    results of its items in turn, and return every item's result in item
+    order.
 
-    After a call on several threads an idle OpenBLAS worker busy-waits for
-    about 0.14 s, so a Python thread running beside a pool that is not held
-    shares its core with that spin.
+    There is a lane per usable CPU, up to one per item, while every OpenBLAS
+    is held to one thread, and one lane when none can be held. Lane 0 runs
+    on this thread, the others on pool threads, each in a copy of this
+    thread's context so that ``np.errstate`` holds there too. The threads are
+    joined before the call returns, also when it fails, and the BLAS thread
+    counts are restored when the last of the nested or concurrent calls
+    leaves: after a call on several threads an idle OpenBLAS worker
+    busy-waits for about 0.14 s, so a lane beside it would share its core
+    with that spin.
     """
+    # imported here, not with the module: it adds about 8 ms to every command's start
+    from concurrent.futures import ThreadPoolExecutor
+
     global _blas_holders, _blas_saved
+    controls = _openblas_controls()
+    lanes = min(usable_cpus(), len(items)) if controls and items else 1
     with _blas_lock:
         if not _blas_holders:
             _blas_saved = [get() for get, _ in controls]
@@ -154,37 +164,20 @@ def _one_blas_thread(controls):
                 put(1)
         _blas_holders += 1
     try:
-        yield
+        with ThreadPoolExecutor(max(1, lanes - 1)) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, work, items[i::lanes], lanes)
+                       for i in range(1, lanes)]
+            runs = [work(items[::lanes], lanes)] + [future.result() for future in futures]
     finally:
         with _blas_lock:
             _blas_holders -= 1
             if not _blas_holders:
                 for (_, put), count in zip(controls, _blas_saved):
                     put(count)
-
-
-@contextmanager
-def _cpu_threads():
-    """Yield ``(parts, pool)``: how many parts a call may run at once, one per
-    usable CPU while numpy's BLAS is held to one thread (one part when it
-    cannot be held), and a pool for ``_run``. The pool's threads live for
-    the call: they are joined on the way out, on an error too."""
-    # imported here, not with the module: it adds about 8 ms to every command's start
-    from concurrent.futures import ThreadPoolExecutor
-
-    controls = _openblas_controls()
-    parts = usable_cpus() if controls else 1
-    with _one_blas_thread(controls), ThreadPoolExecutor(max(1, parts - 1)) as pool:
-        yield parts, pool
-
-
-def _run(pool, tasks) -> list:
-    """Each of ``tasks``' results, in order: the first task runs on this
-    thread, the others on ``pool``'s, each in a copy of this thread's
-    context so that ``np.errstate`` holds there too."""
-    futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
-    first = tasks[0]()
-    return [first] + [future.result() for future in futures]
+    results = [None] * len(items)
+    for i, run in enumerate(runs):
+        results[i::lanes] = run
+    return results
 
 
 def _panel_rows(n: int) -> int:
@@ -235,9 +228,11 @@ def _distance_sweep(values, k: int | None, codes):
         sums = np.empty((n, len(groups)))  # total distance from each cell to each group
     sq = np.sum(values * values, axis=1)
 
-    def lane(spans, chunk_rows):
+    def lane(spans, lanes):
         """Rows lo to hi of each of ``spans`` in turn, each in this lane's
-        own panel, finished ``chunk_rows`` rows at a time."""
+        own panel; the lanes' chunks together are _CHUNK_ROWS tall, as one
+        lane's are."""
+        chunk_rows = min(max(1, _CHUNK_ROWS // lanes), n)
         panel = np.empty((max(hi - lo for lo, hi in spans), n))
         pair_sq = np.empty((chunk_rows, n))
         for lo, hi in spans:
@@ -258,15 +253,11 @@ def _distance_sweep(values, k: int | None, codes):
                     np.sqrt(chunk, out=chunk)
             if sums is not None:
                 np.matmul(d2, onehot, out=sums[lo:hi])
+        return [None] * len(spans)  # the panels' rows are written in place
 
-    with _cpu_threads() as (parts, pool):
-        # panel i runs on lane i % lanes; the lanes meet only at the end
-        cuts = _panel_plan(n)
-        spans = list(zip(cuts, cuts[1:]))
-        lanes = min(parts, len(spans))
-        # the lanes' chunks together are _CHUNK_ROWS tall, as one lane's are
-        chunk_rows = min(max(1, _CHUNK_ROWS // lanes), n)
-        _run(pool, [partial(lane, spans[i::lanes], chunk_rows) for i in range(lanes)])
+    # panel i runs on lane i % lanes; the lanes meet only at the end
+    cuts = _panel_plan(n)
+    _in_lanes(list(zip(cuts, cuts[1:])), lane)
     silhouette = None if sums is None else _silhouette_from_sums(sums, coded)
     return neighbors, silhouette
 
@@ -349,28 +340,19 @@ def kmeans(values, k: int, seed: int, restarts: int = 10,
         raise ValidationError("k-means needs finite values")
     sq = np.einsum("ij,ij->i", values, values)  # |x|^2, shared by every restart
 
-    def restarts_from(first, every):
-        buf = np.empty_like(values)  # the one (n, d) scratch buffer of these restarts
+    def restarts_in(lane, lanes):
+        buf = np.empty_like(values)  # the one (n, d) scratch buffer of this lane's restarts
         runs = []
-        for r in range(first, restarts, every):
+        for r in lane:
             rng = np.random.default_rng([int(seed), _KMEANS_STREAM, r])
             centers = _kmeans_pp(values, k, rng, buf)
             runs.append(_lloyd(values, sq, centers, max_iter, tol, buf))
         return runs
 
-    # restart r runs on thread r % threads; the prefilter's labels are certified
-    # and the exact sums use no BLAS, so no result depends on the split
-    with _cpu_threads() as (parts, pool):
-        threads = min(parts, restarts)
-        runs = _run(pool, [partial(restarts_from, t, threads) for t in range(threads)])
-    best_labels = None
-    best_inertia = np.inf
-    for r in range(restarts):
-        labels, inertia = runs[r % threads][r // threads]
-        if best_labels is None or inertia < best_inertia:  # an inertia may overflow to inf
-            best_inertia = inertia
-            best_labels = labels
-    return best_labels, float(best_inertia)
+    # the prefilter's labels are certified and the exact sums use no BLAS, so
+    # no result depends on the lane a restart runs on; min keeps the first
+    # restart with the lowest inertia (which may overflow to inf)
+    return min(_in_lanes(range(restarts), restarts_in), key=lambda run: run[1])
 
 
 def _kmeans_pp(values, k, rng, buf):

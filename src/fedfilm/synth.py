@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellMetadata, EmbeddingMatrix, FilmAdapter, ValidationError
+from .core import CellMetadata, EmbeddingMatrix, FilmAdapter, ValidationError, encode_groups
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,11 @@ def generate(spec: SynthSpec):
     batch_names = tuple(f"batch{b}" for b in range(B))
     cell_ids = tuple(f"c{i:06d}" for i in range(n))
     emb = EmbeddingMatrix(cell_ids, values)
-    meta = CellMetadata.from_columns(
-        cell_ids,
-        [batch_names[b] for b in batch_idx],
-        [f"type{t}" for t in type_idx],
-    )
+    # types numbered by first appearance, as from_columns numbers names; every
+    # batch has a cell and they come in order, so batch b's code is b
+    type_order, type_codes = encode_groups(type_idx)
+    meta = CellMetadata(cell_ids, batch_idx, batch_names,
+                        type_codes, tuple(f"type{t}" for t in type_order))
     truth = GroundTruth(scale=scale, shift=shift, centroids=centroids,
                         batch_names=batch_names)
     return emb, meta, truth

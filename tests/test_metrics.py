@@ -1033,6 +1033,76 @@ def test_a_failing_worker_thread_is_joined_and_the_blas_threads_restored(
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("call", ["sweep", "kmeans", "nested"])
+def test_a_call_joins_its_threads_and_restores_the_blas_threads(request, monkeypatch, call):
+    controls = metrics._openblas_controls()
+    if not controls:
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose threads can be set")
+    get_threads, set_threads = controls[0]
+    request.addfinalizer(partial(set_threads, get_threads()))
+    set_threads(2)  # not the held count, so a count left unrestored shows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    values = np.random.default_rng(9).standard_normal((200, 4))
+    held, ran_on = [], set()
+
+    def recording(target):
+        def run(*args):
+            held.append(get_threads())
+            ran_on.add(threading.get_ident())
+            return target(*args)
+        return run
+
+    if call == "sweep":
+        monkeypatch.setattr(metrics, "_panel_rows", lambda n: 32)
+        want = metrics._distance_sweep(values, 5, None)[0]
+        monkeypatch.setattr(metrics, "_nearest", recording(metrics._nearest))
+        run = lambda: metrics._distance_sweep(values, 5, None)[0]  # noqa: E731
+    else:
+        want = kmeans(values, 3, seed=0, restarts=4)[0]
+        monkeypatch.setattr(metrics, "_lloyd", recording(metrics._lloyd))
+        run = lambda: kmeans(values, 3, seed=0, restarts=4)[0]  # noqa: E731
+    if call == "nested":
+        # two lanes that each run k-means on two lanes of their own
+        inner = run
+        run = lambda: metrics._in_lanes([0, 1], lambda lane, lanes: [inner() for _ in lane])  # noqa: E731
+        want = [want, want]
+    threads = threading.active_count()
+    got = run()
+    assert np.array_equal(np.asarray(got), np.asarray(want))
+    assert set(held) == {1}  # every part ran with the BLAS held to one thread
+    assert len(ran_on) > 1  # on more than one thread
+    assert get_threads() == 2
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("held", [True, False])
+def test_in_lanes_deals_the_items_in_turn_and_returns_them_in_order(monkeypatch, cpus, held):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if not held:
+        monkeypatch.setattr(metrics, "_openblas_controls", lambda: ())
+    elif not metrics._openblas_controls():
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose threads can be set")
+    items = ["a", "b", "c", "d", "e"]
+    calls = []
+
+    def work(lane, lanes):
+        calls.append((lane, lanes, threading.get_ident()))
+        return [item.upper() for item in lane]
+
+    assert metrics._in_lanes(items, work) == ["A", "B", "C", "D", "E"]
+    # one lane per CPU, up to one per item, while the BLAS can be held
+    lanes = min(cpus, len(items)) if held else 1
+    # lane i gets every lanes-th item from item i, and lane 0 runs on this thread
+    lane_of = {tuple(lane): (count, ident) for lane, count, ident in calls}
+    assert len(calls) == lanes
+    assert set(lane_of) == {tuple(items[i::lanes]) for i in range(lanes)}
+    assert all(count == lanes for count, _ in lane_of.values())
+    idents = [lane_of[tuple(items[i::lanes])][1] for i in range(lanes)]
+    assert idents[0] == threading.get_ident()
+    assert threading.get_ident() not in idents[1:]
+
+
 def test_sweep_and_kmeans_on_more_threads_than_cpus_under_fast_switching(monkeypatch):
     # eight lanes on at most a few CPUs, switching threads every microsecond:
     # lanes that shared a row of a buffer would lose each other's writes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedfilm import EmbeddingMatrix, SynthSpec, generate, pca
-from fedfilm.core import ValidationError
+from fedfilm.core import CellMetadata, ValidationError
 
 
 def test_generate_no_effect_batches_share_distribution():
@@ -56,6 +56,21 @@ def test_generate_type_mixture_counts():
     assert counts[("batch0", "type2")] == 2
     assert counts[("batch1", "type2")] == 10
     assert ("batch1", "type0") not in counts
+
+
+def test_generate_numbers_groups_as_from_columns_does():
+    # type 0 is absent from batch 0, so the types first appear as 1, 2, 0
+    spec = SynthSpec(n_batches=3, n_types=3, dim=2, cells_per_batch=(6, 9, 4),
+                     type_mixture=((0.0, 0.5, 0.5), (0.6, 0.2, 0.2), (0.0, 0.0, 1.0)),
+                     seed=5)
+    _, meta, _ = generate(spec)
+    want = CellMetadata.from_columns(meta.cell_ids,
+                                     [meta.batch_of[c] for c in meta.cell_ids],
+                                     [meta.label_of[c] for c in meta.cell_ids])
+    assert meta.label_names == want.label_names == ("type1", "type2", "type0")
+    assert meta.batch_names == want.batch_names == ("batch0", "batch1", "batch2")
+    assert np.array_equal(meta.label_codes, want.label_codes)
+    assert np.array_equal(meta.batch_codes, want.batch_codes)
 
 
 def test_generate_noise_variance_scales_quadratically():
