@@ -330,20 +330,22 @@ def _parse_rows(path, lines, width: int, parse, ids):
             ids[cid] = None
 
 
-@contextmanager
-def _read_table(path, header_problem, parse_range):
+def _read_table(path, header_problem, parse_range, dtype):
     """Read a comma-delimited table whose rows start with a cell id: the
     first of its ``_line_ranges`` here, each later one in a worker.
 
     ``header_problem(header fields)`` returns what is wrong with the header,
     or None. ``parse_range(lines, width, ids)`` parses data lines with
-    ``_parse_rows`` and returns a picklable ``value`` and a buffer ``raw``,
-    or None. A later range that fails, or repeats an id of an earlier one,
-    is read again here from its first line to the end of the file, after
-    the ids before it, so the error raised is the one a one-range read
-    raises. Yields the header, all ids in file order, and each range's
-    ``(value, raw)``, where a later range's raw is the ``_Worker`` that
-    holds its bytes.
+    ``_parse_rows`` and returns a picklable ``value`` and a buffer of one
+    ``dtype`` item per field after the id, row after row. A later range that
+    fails, or repeats an id of an earlier one, is read again here from its
+    first line to the end of the file, after the ids before it, so the error
+    raised is the one a one-range read raises.
+
+    Returns the header, all ids in file order, each range's ``(value, rows)``
+    and a ``(rows, fields)`` table of every range's items in file order. A
+    file of one range gives its own buffer as the table; otherwise the first
+    range's buffer is freed before the workers' bytes are read into it.
     """
     cuts = _line_ranges(path)
     lines = _lines(path, 0, cuts[1])
@@ -363,9 +365,10 @@ def _read_table(path, header_problem, parse_range):
 
     with _workers(partial(task, *cut) for cut in zip(cuts[1:-1], cuts[2:])) as workers:
         seen = {}
-        parts = [parse_range(lines, len(header), seen)]
+        value, raw = parse_range(lines, len(header), seen)
         if not seen:
             raise LoadError(f"{path}: no data rows")
+        parts = [(value, len(seen))]
         for start, worker in zip(cuts[1:], workers):
             try:
                 ids, value = worker.result()
@@ -375,8 +378,17 @@ def _read_table(path, header_problem, parse_range):
                 parse_range(_lines(path, start, None, len(seen) + 2), len(header), seen)
                 raise
             seen.update(zip(ids, repeat(None)))
-            parts.append((value, worker))
-        yield header, seen, parts
+            parts.append((value, len(ids)))
+        table = np.frombuffer(raw, dtype).reshape(-1, len(header) - 1)
+        if workers:
+            first, table = table, np.empty((len(seen), table.shape[1]), dtype)
+            pos = len(first)
+            table[:pos] = first
+            del first, raw  # the first range's buffer, before the workers' bytes arrive
+            for (_, rows), worker in zip(parts[1:], workers):
+                worker.readinto(table[pos:pos + rows])
+                pos += rows
+    return header, seen, parts, table
 
 
 def _coordinate_problem(fields) -> str:
@@ -409,25 +421,13 @@ def load_embedding_matrix(path) -> EmbeddingMatrix:
             values.fromlist(row)
 
         _parse_rows(path, lines, width, parse, ids)
-        return len(values), values
+        return None, values
 
-    with _read_table(path, lambda header: (
-            None if header[0] == "cell_id" and len(header) >= 2 else
-            "header must start with 'cell_id' and name at least one coordinate column"),
-            parse_range) as (header, ids, parts):
-        if len(parts) == 1:
-            flat = np.frombuffer(parts[0][1])
-        else:
-            flat = np.empty(len(ids) * (len(header) - 1))
-            pos = 0
-            for count, raw in parts:
-                if isinstance(raw, _Worker):
-                    raw.readinto(flat[pos:pos + count])
-                else:
-                    flat[pos:pos + count] = raw
-                pos += count
-    del parts  # the first range's values, now copied, before the matrix checks
-    return EmbeddingMatrix._adopt(tuple(ids), flat.reshape(len(ids), -1))
+    _, ids, _, table = _read_table(path, lambda header: (
+        None if header[0] == "cell_id" and len(header) >= 2 else
+        "header must start with 'cell_id' and name at least one coordinate column"),
+        parse_range, np.float64)
+    return EmbeddingMatrix._adopt(tuple(ids), table)
 
 
 _METADATA_HEADERS = (["cell_id", "batch"], ["cell_id", "batch", "cell_type"])
@@ -439,51 +439,41 @@ def load_metadata(path) -> CellMetadata:
 
     Batch and cell type names are coded as each line is parsed, numbered by
     first appearance within the range that reads them. A range sends back
-    its names in that order and its codes as int64 bytes, a column after
-    the other; each later range's codes are mapped here into the file's
+    its names in that order and its codes as one int64 per name column, row
+    after row; each later range's codes are mapped here into the file's
     first-appearance order, the order ``encode_groups`` gives.
     """
     path = Path(path)
 
     def parse_range(lines, width, ids):
         books = [{} for _ in range(width - 1)]  # name -> code, by first appearance
-        columns = [array("q") for _ in books]
+        codes = array("q")
 
         def parse(fields):
             if not fields[1]:
                 return "empty batch name"
             if width == 3 and not fields[2]:
                 return "empty cell type (partial labels are not allowed)"
-            for book, column, name in zip(books, columns, fields[1:]):
-                column.append(book.setdefault(name, len(book)))
+            for book, name in zip(books, fields[1:]):
+                codes.append(book.setdefault(name, len(book)))
 
         _parse_rows(path, lines, width, parse, ids)
-        rows = len(columns[0])
-        for column in columns[1:]:
-            columns[0].extend(column)
-        return (rows, [list(book) for book in books]), columns[0]
+        return [list(book) for book in books], codes
 
-    with _read_table(path, lambda header: (
-            None if header in _METADATA_HEADERS else "header must be 'cell_id,batch' or "
-            f"'cell_id,batch,cell_type', got {','.join(header)!r}"),
-            parse_range) as (header, ids, parts):
-        books = [{} for _ in header[1:]]  # the file's names -> codes
-        codes = np.empty((len(books), len(ids)), dtype=np.int64)
-        pos = 0
-        for (rows, names), raw in parts:
-            block = codes[:, pos:pos + rows]
-            if isinstance(raw, _Worker):
-                for column in block:
-                    raw.readinto(column)
-            else:
-                block[:] = np.frombuffer(raw, dtype=np.int64).reshape(block.shape)
-            for book, column, range_names in zip(books, block, names):
-                to_file = np.array([book.setdefault(name, len(book)) for name in range_names],
-                                   dtype=np.int64)
-                column[:] = to_file[column]
-            pos += rows
-    labels = (codes[1], tuple(books[1])) if len(books) == 2 else ()
-    return CellMetadata(tuple(ids), codes[0], tuple(books[0]), *labels)
+    header, ids, parts, codes = _read_table(path, lambda header: (
+        None if header in _METADATA_HEADERS else "header must be 'cell_id,batch' or "
+        f"'cell_id,batch,cell_type', got {','.join(header)!r}"),
+        parse_range, np.int64)
+    books = [{} for _ in header[1:]]  # the file's names -> codes
+    pos = 0
+    for names, rows in parts:
+        for book, column, range_names in zip(books, codes[pos:pos + rows].T, names):
+            to_file = np.array([book.setdefault(name, len(book)) for name in range_names],
+                               dtype=np.int64)
+            column[:] = to_file[column]
+        pos += rows
+    labels = (codes[:, 1], tuple(books[1])) if len(books) == 2 else ()
+    return CellMetadata(tuple(ids), codes[:, 0], tuple(books[0]), *labels)
 
 
 def load_embeddings(matrix_path, metadata_path):

@@ -521,12 +521,22 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_loading_and_saving_a_matrix_hold_a_few_copies_of_its_values(tmp_path):
+# ranges -> the most a load may trace, in the values' bytes: one range adopts
+# its own parse buffer (a copy of it would trace about 2.35 times)
+LOAD_PEAK_BOUND = {1: 1.75, 2: 2}
+
+
+@pytest.mark.parametrize("count", LOAD_PEAK_BOUND)
+def test_loading_and_saving_a_matrix_hold_a_few_copies_of_its_values(tmp_path, monkeypatch,
+                                                                     count):
     rng = np.random.default_rng(6)
     emb = EmbeddingMatrix(tuple(f"c{i}" for i in range(20_000)), rng.standard_normal((20_000, 32)))
     path = tmp_path / "emb.csv"
+    monkeypatch.setattr(fio.os, "sched_getaffinity", lambda pid: set(range(count)))
     assert traced_peak(lambda: fio.save_embeddings(path, emb)) <= 0.1 * emb.values.nbytes
-    assert traced_peak(lambda: fio.load_embedding_matrix(path)) <= 2 * emb.values.nbytes
+    assert len(fio._line_ranges(path)) == count + 1
+    assert traced_peak(lambda: fio.load_embedding_matrix(path)) \
+        <= LOAD_PEAK_BOUND[count] * emb.values.nbytes
 
 
 def large_instance(n=20_000, d=32):
@@ -863,6 +873,34 @@ def test_a_worker_never_unwinds_through_its_caller(tmp_path, ranges, monkeypatch
             out.write(f"{os.getpid()}\n")
     assert log.read_text(encoding="utf-8") == f"{parent}\n"
     assert worker_pids and all_reaped(worker_pids)
+
+
+def test_a_worker_that_sends_too_few_items_fails_the_load(tmp_path, ranges, monkeypatch,
+                                                         worker_pids):
+    emb, meta = random_embedding(seed=14, n=30, d=2)
+    fio.save_embeddings(tmp_path / "emb.csv", emb)
+    fio.save_metadata(tmp_path / "meta.csv", meta)
+    parent = os.getpid()
+    real_parse = fio._parse_rows
+
+    def parse_rows(path, lines, width, parse, ids):
+        if os.getpid() == parent:
+            return real_parse(path, lines, width, parse, ids)
+        skipped = []  # a worker keeps its first line's id but not its items
+
+        def parse_all_but_first(fields):
+            if skipped:
+                return parse(fields)
+            skipped.append(fields)
+
+        return real_parse(path, lines, width, parse_all_but_first, ids)
+
+    monkeypatch.setattr(fio, "_parse_rows", parse_rows)
+    ranges(3)
+    for name, load in (("emb.csv", fio.load_embedding_matrix), ("meta.csv", fio.load_metadata)):
+        with pytest.raises(fio.FedfilmError, match="ended before sending all its data"):
+            load(tmp_path / name)
+    assert len(worker_pids) == 4 and all_reaped(worker_pids)
 
 
 def test_a_worker_error_is_raised_by_the_call(tmp_path, ranges, monkeypatch, worker_pids):
