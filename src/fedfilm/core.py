@@ -36,7 +36,6 @@ class ValidationError(FedfilmError):
 FIELD_KINDS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
 

@@ -544,6 +544,8 @@ def load_adapter(path) -> FilmAdapter:
         if not valid(doc.get(key)):
             raise LoadError(f"{path}: {key!r} must be {kind}")
     try:
+        if len(doc["frozen"]) != len(doc["batch_names"]):  # () would read as none frozen
+            raise ValidationError("frozen flags must match batch names")
         adapter = FilmAdapter(
             tuple(doc["batch_names"]),
             np.array(doc["gamma"], dtype=np.float64),
@@ -572,11 +574,14 @@ _PLAN_TYPES = {  # key -> (check of its JSON value, what the value must be)
 
 def load_plan(path) -> ScenarioPlan:
     """Read a scenario plan: a JSON object with ``mode``, ``stages`` and an
-    optional ``pca_components``."""
+    optional ``pca_components``, and no other key."""
     path = Path(path)
     doc = _read_json(path, "scenario plan")
     if not isinstance(doc, dict):
         raise LoadError(f"{path}: a scenario plan must be a JSON object")
+    unknown = sorted(set(doc) - set(_PLAN_TYPES))
+    if unknown:
+        raise LoadError(f"{path}: unknown scenario plan keys: {', '.join(unknown)}")
     for key, (valid, kind) in _PLAN_TYPES.items():
         if not valid(doc.get(key)):
             raise LoadError(f"{path}: {key!r} must be {kind}")

@@ -44,6 +44,13 @@ BATCH_WEIGHT = 0.4
 
 _KMEANS_STREAM = 303
 
+# fixed reference-protocol values: Lloyd's iteration cap and the center shift
+# that ends it, kBET's acceptance level, and the components PCR regresses
+_LLOYD_ITERATIONS = 300
+_LLOYD_TOL = 1e-6
+_KBET_ALPHA = 0.05
+_PCR_COMPONENTS = 50
+
 
 def aggregate_scores(bio: float, batch: float) -> float:
     """Weighted overall score: 0.6 * bio + 0.4 * batch."""
@@ -82,7 +89,6 @@ class MetricsReport:
 class NeighborGraph:
     """Fixed-k nearest neighbors by Euclidean distance, self excluded."""
 
-    k: int
     neighbors: np.ndarray  # (N, k) int row indices
 
     def __post_init__(self):
@@ -94,6 +100,10 @@ class NeighborGraph:
     @property
     def n(self) -> int:
         return self.neighbors.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.neighbors.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +323,13 @@ def build_neighbor_graph(values, k: int) -> NeighborGraph:
     large inputs.
     """
     neighbors, _ = _distance_sweep(values, k, None)
-    return NeighborGraph(k=k, neighbors=neighbors)
+    return NeighborGraph(neighbors)
 
 
 # ---------------------------------------------------------------------------
 # clustering
 
-def kmeans(values, k: int, seed: int, restarts: int = 10,
-           max_iter: int = 300, tol: float = 1e-6):
+def kmeans(values, k: int, seed: int, restarts: int = 10):
     """Lloyd's algorithm with k-means++ seeding.
 
     Runs ``restarts`` seeded initializations and keeps the lowest-inertia
@@ -346,7 +355,7 @@ def kmeans(values, k: int, seed: int, restarts: int = 10,
         for r in lane:
             rng = np.random.default_rng([int(seed), _KMEANS_STREAM, r])
             centers = _kmeans_pp(values, k, rng, buf)
-            runs.append(_lloyd(values, sq, centers, max_iter, tol, buf))
+            runs.append(_lloyd(values, sq, centers, buf))
         return runs
 
     # the prefilter's labels are certified and the exact sums use no BLAS, so
@@ -466,10 +475,10 @@ def _assign(values, sq, centers, buf):
     return labels, _center_d2(values, centers, labels, buf)
 
 
-def _lloyd(values, sq, centers, max_iter, tol, buf):
+def _lloyd(values, sq, centers, buf):
     centers = centers.copy()
     k = centers.shape[0]
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_ITERATIONS):
         labels = _nearest_center(values, sq, centers, buf)
         min_d2 = None
         new_centers = centers.copy()
@@ -484,7 +493,7 @@ def _lloyd(values, sq, centers, max_iter, tol, buf):
                 new_centers[c] = values[int(np.argmax(min_d2))]
         shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
         centers = new_centers
-        if shift < tol:
+        if shift < _LLOYD_TOL:
             break
     labels, min_d2 = _assign(values, sq, centers, buf)
     return labels, float(np.sum(min_d2))
@@ -608,21 +617,14 @@ def silhouette_batch_asw(values, batches, labels) -> float:
 # ---------------------------------------------------------------------------
 # neighborhood composition
 
-def lisi(graph_or_values, codes, k: int | None = None) -> np.ndarray:
+def lisi(graph: NeighborGraph, codes) -> np.ndarray:
     """Per-cell inverse Simpson index of the k-neighborhood composition.
 
-    Neighborhood proportions are uniform over the fixed k nearest neighbors,
-    self excluded. Accepts a prebuilt ``NeighborGraph`` or raw coordinates
-    (then ``k`` is required).
+    Neighborhood proportions are uniform over the graph's k nearest
+    neighbors, self excluded.
     """
-    if isinstance(graph_or_values, NeighborGraph):
-        graph = graph_or_values
-    else:
-        if k is None:
-            raise ValidationError("k is required when passing raw coordinates")
-        graph = build_neighbor_graph(graph_or_values, k)
     groups, coded = encode_groups(codes)
-    p = _neighbor_counts(graph, coded, len(groups)) / graph.neighbors.shape[1]
+    p = _neighbor_counts(graph, coded, len(groups)) / graph.k
     return 1.0 / np.sum(p * p, axis=1)
 
 
@@ -670,7 +672,7 @@ def chi2_sf(x: float, df: int) -> float:
     return min(1.0, total)
 
 
-def kbet_per_label(graph: NeighborGraph, batches, labels, alpha: float = 0.05) -> float:
+def kbet_per_label(graph: NeighborGraph, batches, labels) -> float:
     """Mean per-label acceptance rate of a chi-square goodness-of-fit test of
     each cell's k-neighborhood batch counts against the label's global batch
     composition.
@@ -705,7 +707,7 @@ def kbet_per_label(graph: NeighborGraph, batches, labels, alpha: float = 0.05) -
                 continue
             expected = pi * tot
             stat = float(np.sum((counts - expected) ** 2 / expected))
-            accepts[u] = chi2_sf(stat, df) >= alpha
+            accepts[u] = chi2_sf(stat, df) >= _KBET_ALPHA
         per_label.append(int(np.count_nonzero(accepts[inverse])) / len(inverse))
     return float(np.mean(per_label))
 
@@ -717,7 +719,7 @@ def graph_connectivity(graph: NeighborGraph, labels) -> float:
     """Average over labels of the largest-connected-component fraction of the
     label-induced subgraph on the symmetrized kNN edges."""
     groups, coded = encode_groups(labels)
-    src = np.repeat(np.arange(graph.n), graph.neighbors.shape[1])
+    src = np.repeat(np.arange(graph.n), graph.k)
     dst = graph.neighbors.ravel()
     same = coded[src] == coded[dst]
     root = _component_roots(graph.n, src[same], dst[same])
@@ -747,10 +749,11 @@ def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # principal component regression
 
-def pcr_score(values, batches, max_components: int = 50) -> float:
-    """1 minus the mean R^2 of regressing each principal component's scores on
-    one-hot batch indicators. The least-squares fit on such indicators is
-    each batch's mean score, so the fitted values are per-batch means.
+def pcr_score(values, batches) -> float:
+    """1 minus the mean R^2 of regressing each of the first 50 principal
+    components' scores on one-hot batch indicators. The least-squares fit on
+    such indicators is each batch's mean score, so the fitted values are
+    per-batch means.
 
     Components with zero variance contribute R^2 = 0. Higher is better
     (less batch-associated variance).
@@ -762,10 +765,8 @@ def pcr_score(values, batches, max_components: int = 50) -> float:
         raise ValidationError("pcr needs at least two batches")
     if n <= len(batch_order):
         raise ValidationError("pcr needs more cells than batches")
-    if max_components < 1:
-        raise ValidationError(f"pcr max_components = {max_components} must be >= 1")
     centered, _, axes = principal_axes(values)
-    m = min(d, max_components)
+    m = min(d, _PCR_COMPONENTS)
     comps = centered @ axes[:, :m]
 
     counts = np.bincount(batches)
@@ -851,7 +852,7 @@ def evaluate(emb: EmbeddingMatrix, meta: CellMetadata, subset: str = "full",
     if k is not None or label_codes is not None:
         neighbors, label_silhouette = _distance_sweep(values, k, label_codes)
         if k is not None:
-            graph = NeighborGraph(k=k, neighbors=neighbors)
+            graph = NeighborGraph(neighbors)
 
     clusters = None
     if wanted & {"kmeans_nmi", "kmeans_ari", "isolated_f1"}:

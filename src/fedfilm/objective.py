@@ -38,6 +38,12 @@ from .core import DimensionError, FilmAdapter, ValidationError, field_type_probl
 _SPLIT_STREAM = 101
 _SHUFFLE_STREAM = 202
 
+# Adam's moment decay rates and denominator guard, fixed at the reference
+# protocol's values
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
 TARGETS = ("self", "pooled")
 
 
@@ -48,7 +54,9 @@ class TrainConfig:
     Defaults follow the reference protocol: Adam at 1e-3 for two local epochs
     per round, seven rounds, proximal and l2 coefficients 1e-3, mini-batches
     of 256 cells and a fixed 90 percent training split per client, each
-    client reconstructing its own embedding (``target="self"``).
+    client reconstructing its own embedding (``target="self"``). Adam's betas
+    (0.9, 0.999) and epsilon (1e-8) are fixed, and its moments persist
+    across rounds.
     """
 
     mu: float = 1e-3
@@ -59,10 +67,6 @@ class TrainConfig:
     minibatch_size: int = 256
     train_fraction: float = 0.9
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    reset_moments_per_round: bool = False
     target: str = "self"
 
     def __post_init__(self):
@@ -83,10 +87,6 @@ class TrainConfig:
             raise ValidationError("train_fraction must be in [0, 1]")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValidationError("adam betas must be in [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValidationError("adam_epsilon must be > 0")
         if self.target not in TARGETS:
             raise ValidationError(f"unknown target {self.target!r}; expected one of {TARGETS}")
 
@@ -101,10 +101,10 @@ class ClientState:
 
     The training split is drawn once from (seed, batch index) and reused for
     every round; the Adam moments ``m`` and ``v`` of the parameter block
-    ``[gamma_b; beta_b]`` are (2, d) arrays that persist across rounds unless
-    the config says otherwise. ``target`` is the per-coordinate affine map
-    ``(scale, shift)`` from the client's cells to its reconstruction target,
-    or None for the cells themselves.
+    ``[gamma_b; beta_b]`` are (2, d) arrays that persist across rounds.
+    ``target`` is the per-coordinate affine map ``(scale, shift)`` from the
+    client's cells to its reconstruction target, or None for the cells
+    themselves.
     """
 
     batch_name: str
@@ -115,11 +115,6 @@ class ClientState:
     v: np.ndarray = field(repr=False, default=None)
     step: int = 0
     target: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
-
-    def reset_moments(self, d: int):
-        self.m = np.zeros((2, d))
-        self.v = np.zeros((2, d))
-        self.step = 0
 
 
 def make_client_state(batch_name: str, batch_index: int, n_cells: int, d: int,
@@ -135,14 +130,14 @@ def make_client_state(batch_name: str, batch_index: int, n_cells: int, d: int,
             f"client {batch_name!r} has zero training cells after the "
             f"{cfg.train_fraction:.0%} split"
         )
-    state = ClientState(
+    return ClientState(
         batch_name=batch_name,
         batch_index=batch_index,
         train_indices=np.sort(perm[:n_train]),
         holdout_indices=np.sort(perm[n_train:]),
+        m=np.zeros((2, d)),
+        v=np.zeros((2, d)),
     )
-    state.reset_moments(d)
-    return state
 
 
 def _check_vectors(cells, *vectors):
@@ -209,12 +204,12 @@ def local_gradient(cells, gamma_b, beta_b, anchor_gamma_b, anchor_beta_b,
 def _adam_step(state: ClientState, theta, grad, cfg: TrainConfig):
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     state.m = b1 * state.m + (1 - b1) * grad
     state.v = b2 * state.v + (1 - b2) * grad * grad
     m_hat = state.m / (1 - b1**t)
     v_hat = state.v / (1 - b2**t)
-    return theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+    return theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
 
 
 def client_local_update(state: ClientState, client_cells, snapshot: FilmAdapter,
@@ -238,8 +233,6 @@ def client_local_update(state: ClientState, client_cells, snapshot: FilmAdapter,
         raise DimensionError("client cells do not match the adapter dimension")
     if len(state.train_indices) == 0:
         raise ClientEmptyError(f"client {state.batch_name!r} has zero training cells")
-    if cfg.reset_moments_per_round:
-        state.reset_moments(snapshot.d)
 
     train = cells[state.train_indices]
     theta = anchor

@@ -310,6 +310,15 @@ def test_scenario_plan_stages_as_string_is_usage_error(tmp_path, synth_dir, caps
     assert str(plan) in err and "'stages'" in err
 
 
+def test_scenario_plan_with_an_unknown_key_is_usage_error(tmp_path, synth_dir, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"mode": "cumulative", "stages": [["batch0"], ["batch1"]],
+                                "pca_component": 2}))
+    assert run_plan(plan, synth_dir, tmp_path) == 2
+    assert f"{plan}: unknown scenario plan keys: pca_component" in capsys.readouterr().err
+    assert not (tmp_path / "scen").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     pytest.param("stages", [[0]], id="stages-numbers"),
     pytest.param("pca_components", "7", id="pca_components-string"),
@@ -411,6 +420,18 @@ def test_config_file_and_flag_precedence(synth_dir, tmp_path):
     assert eff["mu"] == 0.25     # flag wins over the file
     log_lines = (out / "training_log.csv").read_text().splitlines()
     assert len(log_lines) - 1 == 3 * 3
+
+
+def test_effective_config_passed_back_gives_the_same_adapter(synth_dir, tmp_path):
+    data = ["--embeddings", str(synth_dir / "embeddings.csv"),
+            "--metadata", str(synth_dir / "metadata.csv")]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["fit", *data, "--out", str(first), "--seed", "4", "--rounds", "3",
+                "--mu", "0.5", "--target", "pooled"]) == 0
+    assert run(["fit", *data, "--out", str(again),
+                "--config", str(first / "effective_config.json")]) == 0
+    for name in ("adapter.json", "effective_config.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_fit_target_flag_and_config_key(synth_dir, tmp_path):

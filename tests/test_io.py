@@ -145,6 +145,16 @@ def test_config_defaults_and_strict_keys(tmp_path):
     assert cfg.train.rounds == 3 and cfg.aggregation_mode == "row-restricted"
 
 
+# Adam's betas and epsilon are fixed and its moments always persist, so
+# effective_config.json files written while they were settable name them
+@pytest.mark.parametrize("key, value", [("adam_beta1", 0.9), ("adam_beta2", 0.999),
+                                        ("adam_epsilon", 1e-8),
+                                        ("reset_moments_per_round", False)])
+def test_config_naming_a_fixed_training_value_is_a_config_error(key, value):
+    with pytest.raises(fio.ConfigError, match=f"^unknown config keys: {key}$"):
+        fio.config_from_dict({"rounds": 3, key: value})
+
+
 @pytest.mark.parametrize("doc, kind", [
     ({"rounds": 2.5}, "an integer"),
     ({"rounds": "7"}, "an integer"),
@@ -153,7 +163,6 @@ def test_config_defaults_and_strict_keys(tmp_path):
     ({"knn_k": None}, "an integer"),
     ({"learning_rate": "0.1"}, "a number"),
     ({"mu": False}, "a number"),
-    ({"reset_moments_per_round": 1}, "true or false"),
     ({"target": 3}, "a string"),
     ({"aggregation_mode": ["full-table"]}, "a string"),
 ])
@@ -257,6 +266,19 @@ def test_load_adapter_rejects_wrong_json_types(tmp_path, key, value):
         fio.load_adapter(path)
 
 
+@pytest.mark.parametrize("frozen", [[], [True]], ids=["empty", "short"])
+def test_load_adapter_rejects_frozen_flags_that_miss_a_batch(tmp_path, frozen):
+    # an empty list must not read as "none frozen"
+    path = tmp_path / "adapter.json"
+    fio.save_adapter(path, identity_adapter(["a", "b"], 2))
+    doc = json.loads(path.read_text())
+    doc["frozen"] = frozen
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fio.LoadError, match=re.escape(
+            f"{path}: invalid adapter document: frozen flags must match batch names")):
+        fio.load_adapter(path)
+
+
 def test_load_plan_reads_a_valid_plan(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps({"mode": "cumulative", "stages": [["a", "b"], ["c"]],
@@ -307,6 +329,16 @@ def test_load_plan_rejects_malformed_documents(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(fio.LoadError, match=re.escape(str(path))):
         fio.load_plan(path)
+
+
+def test_load_plan_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"mode": "cumulative", "stages": [["a"], ["b"]],
+                                "pca_component": 40}))
+    with pytest.raises(fio.LoadError, match=re.escape(
+            f"{path}: unknown scenario plan keys: pca_component")):
+        fio.load_plan(path)
+
 
 @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", ""])
 @pytest.mark.parametrize("column", ["batch", "cell type"])

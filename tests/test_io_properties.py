@@ -164,10 +164,7 @@ RUN_CONFIGS = st.builds(
         mu=st.floats(0, 1e3), lam=st.floats(0, 1e3), learning_rate=st.floats(0, 10),
         local_epochs=st.integers(1, 50), rounds=st.integers(1, 50),
         minibatch_size=st.integers(1, 4096), train_fraction=st.floats(0, 1),
-        seed=st.integers(0, 2**63), adam_beta1=st.floats(0, 1, exclude_max=True),
-        adam_beta2=st.floats(0, 1, exclude_max=True),
-        adam_epsilon=st.floats(0, 1, exclude_min=True),
-        reset_moments_per_round=st.booleans(), target=st.sampled_from(TARGETS)),
+        seed=st.integers(0, 2**63), target=st.sampled_from(TARGETS)),
     aggregation_mode=st.sampled_from(AGGREGATION_MODES),
     metric_subset=st.sampled_from(sorted(METRIC_SUBSETS)),
     knn_k=st.integers(1, 500), kmeans_restarts=st.integers(1, 100),

@@ -335,7 +335,7 @@ def test_lisi_formula_values():
     assert np.allclose(lisi(graph, codes), 1.0)
     values = np.array([[0.0], [0.01], [0.02], [10.0], [10.01], [10.02]])
     # self excluded: each point's 2 nearest neighbors sit in its own block
-    per_cell = lisi(values, np.array([0, 1, 0, 1, 0, 1]), k=2)
+    per_cell = lisi(build_neighbor_graph(values, 2), np.array([0, 1, 0, 1, 0, 1]))
     assert np.all(per_cell >= 1.0) and np.all(per_cell <= 2.0)
     p = np.array([0.5, 0.25, 0.25])
     assert 1.0 / np.sum(p * p) == pytest.approx(8 / 3)
@@ -351,15 +351,13 @@ def test_lisi_bounds_and_rescaling():
     rng = np.random.default_rng(7)
     values = rng.standard_normal((30, 3))
     codes = rng.choice(["a", "b", "c"], 30)
-    per_cell = lisi(values, codes, k=10)
+    per_cell = lisi(build_neighbor_graph(values, 10), codes)
     assert np.all(per_cell >= 1.0) and np.all(per_cell <= 3.0)
     assert ilisi_score(1.0, 4) == 0.0
     assert ilisi_score(4.0, 4) == 1.0
     assert ilisi_score(2.5, 4) == pytest.approx(0.5)
     assert clisi_score(1.0, 5) == 1.0
     assert clisi_score(5.0, 5) == 0.0
-    with pytest.raises(ValidationError):
-        lisi(values, codes)  # k required with raw coordinates
     with pytest.raises(ValidationError):
         build_neighbor_graph(values, 30)
 
@@ -629,8 +627,6 @@ def test_pcr_preconditions():
         pcr_score(rng.standard_normal((5, 2)), np.array(["a"] * 5))
     with pytest.raises(ValidationError):
         pcr_score(rng.standard_normal((2, 2)), np.array(["a", "b"]))
-    with pytest.raises(ValidationError, match="max_components = 0"):
-        pcr_score(rng.standard_normal((6, 2)), np.array(["a", "b"] * 3), max_components=0)
 
 
 # ---------------------------------------------------------------- isolated labels

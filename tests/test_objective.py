@@ -3,7 +3,7 @@ import pytest
 
 from fedfilm import TrainConfig, client_local_update, local_gradient, local_loss, make_client_state
 from fedfilm.core import ValidationError, identity_adapter, FilmAdapter
-from fedfilm.objective import ClientEmptyError
+from fedfilm.objective import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON, ClientEmptyError
 
 from reference import closed_form_minimizer, fd_gradient
 
@@ -208,7 +208,7 @@ def test_minibatch_shuffle_is_deterministic():
     assert results[0][2] == results[1][2]
 
 
-def test_moments_persist_across_rounds_unless_reset():
+def test_moments_persist_across_rounds():
     cells = np.random.default_rng(6).standard_normal((30, 2)) + 1.0
     snapshot = identity_adapter(["b"], 2)
 
@@ -218,12 +218,6 @@ def test_moments_persist_across_rounds_unless_reset():
     steps_after_first = state.step
     client_local_update(state, cells, snapshot, cfg, round_index=1)
     assert state.step == 2 * steps_after_first
-
-    cfg_reset = cfg_with(local_epochs=1, seed=1, reset_moments_per_round=True)
-    state = make_client_state("b", 0, 30, 2, cfg_reset)
-    client_local_update(state, cells, snapshot, cfg_reset, round_index=0)
-    client_local_update(state, cells, snapshot, cfg_reset, round_index=1)
-    assert state.step == steps_after_first
 
 
 def test_split_is_fixed_and_client_empty_errors():
@@ -254,7 +248,7 @@ def test_config_validation():
     assert defaults.lam == 1e-3
     assert defaults.minibatch_size == 256
     assert defaults.train_fraction == 0.9
-    assert (defaults.adam_beta1, defaults.adam_beta2, defaults.adam_epsilon) == (0.9, 0.999, 1e-8)
+    assert (_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
 
 def test_config_rejects_unknown_target():
@@ -270,7 +264,6 @@ def test_config_rejects_unknown_target():
     ("minibatch_size", True, "an integer"),
     ("learning_rate", "0.1", "a number"),
     ("mu", False, "a number"),
-    ("reset_moments_per_round", 1, "true or false"),
     ("target", None, "a string"),
 ])
 def test_config_values_of_the_wrong_type_name_their_field(field, value, kind):
