@@ -163,6 +163,7 @@ def test_config_naming_a_fixed_training_value_is_a_config_error(key, value):
     ({"knn_k": None}, "an integer"),
     ({"learning_rate": "0.1"}, "a number"),
     ({"mu": False}, "a number"),
+    ({"train_fraction": "0.5"}, "a number"),
     ({"target": 3}, "a string"),
     ({"aggregation_mode": ["full-table"]}, "a string"),
 ])
