@@ -7,6 +7,7 @@ The adapter transform is a per-batch affine map in latent space:
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -32,10 +33,13 @@ class ValidationError(FedfilmError):
 
 
 # a config field's annotation -> (check of a value, what the value must be);
-# bool is a subclass of int, so neither number kind takes it
+# bool is a subclass of int, so neither number kind takes it, and a number
+# is a finite float or an integer within the float range: a nan, an infinite
+# or a too large setting would fail the fit at its first step
 FIELD_KINDS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "float": (lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                         and abs(v) <= sys.float_info.max), "a number"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
 

@@ -274,10 +274,10 @@ def save_metadata(path, meta: CellMetadata):
                 lambda lo, hi: zip(*(column[lo:hi] for column in columns.values())))
 
 
-def _lines(path, start: int = 0, stop: int | None = None, first: int = 1):
+def _lines(path, start: int = 0, stop: int | None = None):
     """Yield ``(line number, line)`` for the lines of the file from byte
     ``start`` to byte ``stop`` (both line starts; None is the end of the
-    file), numbered from ``first``, decoded, with a "\\r\\n" ending folded.
+    file), numbered from 1, decoded, with a "\\r\\n" ending folded.
 
     Only "\\n" ends a line: a lone "\\r" stays in its line, so a cell id
     holding one is a bad id on its own line. A line that is not UTF-8 raises
@@ -288,7 +288,7 @@ def _lines(path, start: int = 0, stop: int | None = None, first: int = 1):
         with open(path, "rb") as file:
             if start:
                 file.seek(start)
-            for ln, raw in enumerate(file, first):
+            for ln, raw in enumerate(file, 1):
                 try:
                     line = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
@@ -304,6 +304,14 @@ def _lines(path, start: int = 0, stop: int | None = None, first: int = 1):
         raise LoadError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_header(path, lines) -> list[str]:
+    """The fields of the first of ``lines``, the header of the file at ``path``."""
+    top = next(lines, None)
+    if top is None:
+        raise LoadError(f"{path}: empty file")
+    return top[1].split(",")
+
+
 def _parse_rows(path, lines, width: int, parse, ids):
     """Check data lines and hand each line's fields to ``parse``, which
     returns what is wrong with them, or None.
@@ -311,7 +319,8 @@ def _parse_rows(path, lines, width: int, parse, ids):
     Each line must have ``width`` fields and a cell id of the allowed
     characters that is not yet in ``ids``, an insertion-ordered dict of the
     ids of the lines before, to which each line's id is added. Raises
-    ``LoadError`` naming the first faulty line.
+    ``LoadError`` naming the first faulty line, or the file when it has no
+    data line.
     """
     with closing(lines):
         for ln, line in lines:
@@ -328,67 +337,8 @@ def _parse_rows(path, lines, width: int, parse, ids):
             if problem:
                 raise LoadError(f"{path}:{ln}: {problem}")
             ids[cid] = None
-
-
-def _read_table(path, header_problem, parse_range, dtype):
-    """Read a comma-delimited table whose rows start with a cell id: the
-    first of its ``_line_ranges`` here, each later one in a worker.
-
-    ``header_problem(header fields)`` returns what is wrong with the header,
-    or None. ``parse_range(lines, width, ids)`` parses data lines with
-    ``_parse_rows`` and returns a picklable ``value`` and a buffer of one
-    ``dtype`` item per field after the id, row after row. A later range that
-    fails, or repeats an id of an earlier one, is read again here from its
-    first line to the end of the file, after the ids before it, so the error
-    raised is the one a one-range read raises.
-
-    Returns the header, all ids in file order, each range's ``(value, rows)``
-    and a ``(rows, fields)`` table of every range's items in file order. A
-    file of one range gives its own buffer as the table; otherwise the first
-    range's buffer is freed before the workers' bytes are read into it.
-    """
-    cuts = _line_ranges(path)
-    lines = _lines(path, 0, cuts[1])
-    top = next(lines, None)
-    if top is None:
-        raise LoadError(f"{path}: empty file")
-    header = top[1].split(",")
-    problem = header_problem(header)
-    if problem:
-        lines.close()
-        raise LoadError(f"{path}:1: {problem}")
-
-    def task(start, stop):
-        ids = {}
-        value, raw = parse_range(_lines(path, start, stop), len(header), ids)
-        return (list(ids), value), raw
-
-    with _workers(partial(task, *cut) for cut in zip(cuts[1:-1], cuts[2:])) as workers:
-        seen = {}
-        value, raw = parse_range(lines, len(header), seen)
-        if not seen:
-            raise LoadError(f"{path}: no data rows")
-        parts = [(value, len(seen))]
-        for start, worker in zip(cuts[1:], workers):
-            try:
-                ids, value = worker.result()
-                if not seen.keys().isdisjoint(ids):
-                    raise LoadError(f"{path}: a cell id from byte {start} on repeats an earlier one")
-            except LoadError:
-                parse_range(_lines(path, start, None, len(seen) + 2), len(header), seen)
-                raise
-            seen.update(zip(ids, repeat(None)))
-            parts.append((value, len(ids)))
-        table = np.frombuffer(raw, dtype).reshape(-1, len(header) - 1)
-        if workers:
-            first, table = table, np.empty((len(seen), table.shape[1]), dtype)
-            pos = len(first)
-            table[:pos] = first
-            del first, raw  # the first range's buffer, before the workers' bytes arrive
-            for (_, rows), worker in zip(parts[1:], workers):
-                worker.readinto(table[pos:pos + rows])
-                pos += rows
-    return header, seen, parts, table
+    if not ids:
+        raise LoadError(f"{path}: no data rows")
 
 
 def _coordinate_problem(fields) -> str:
@@ -402,31 +352,74 @@ def _coordinate_problem(fields) -> str:
             return f"non-finite coordinate {tok!r}"
 
 
+def _parse_coordinates(path, lines, width: int, ids):
+    """The coordinates of the data ``lines``, row after row, as checked by ``_parse_rows``."""
+    values = array("d")  # grown in place
+
+    def parse(fields):
+        try:
+            row = list(map(float, fields[1:]))
+        except ValueError:
+            return _coordinate_problem(fields)
+        # a sum that is not finite holds an inf or a nan, or passed the largest float
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            return _coordinate_problem(fields)
+        values.fromlist(row)
+
+    _parse_rows(path, lines, width, parse, ids)
+    return values
+
+
 def load_embedding_matrix(path) -> EmbeddingMatrix:
     """Parse the delimited matrix file: header row, ``cell_id`` first, then
-    numeric latent coordinates."""
+    numeric latent coordinates.
+
+    The file is read in its ``_line_ranges``: the first here, each later one
+    in a worker, which sends back its ids, then its coordinates as raw
+    float64 bytes. A later range that fails, or repeats an id of an earlier
+    one, makes this process read the whole file as one range, so the error
+    raised is the one a one-range read raises.
+    """
     path = Path(path)
+    cuts = _line_ranges(path)
+    with closing(_lines(path, 0, cuts[1])) as lines:
+        header = _read_header(path, lines)
+        if header[0] != "cell_id" or len(header) < 2:
+            raise LoadError(f"{path}:1: header must start with 'cell_id' and name at least "
+                            "one coordinate column")
+        width = len(header)
 
-    def parse_range(lines, width, ids):
-        values = array("d")  # the range's coordinates, row after row, grown in place
+        def task(start, stop):
+            ids = {}
+            values = _parse_coordinates(path, _lines(path, start, stop), width, ids)
+            return list(ids), values
 
-        def parse(fields):
-            try:
-                row = list(map(float, fields[1:]))
-            except ValueError:
-                return _coordinate_problem(fields)
-            # a sum that is not finite holds an inf or a nan, or passed the largest float
-            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
-                return _coordinate_problem(fields)
-            values.fromlist(row)
-
-        _parse_rows(path, lines, width, parse, ids)
-        return None, values
-
-    _, ids, _, table = _read_table(path, lambda header: (
-        None if header[0] == "cell_id" and len(header) >= 2 else
-        "header must start with 'cell_id' and name at least one coordinate column"),
-        parse_range, np.float64)
+        with _workers(partial(task, *cut) for cut in zip(cuts[1:-1], cuts[2:])) as workers:
+            ids = {}
+            table = np.frombuffer(_parse_coordinates(path, lines, width, ids),
+                                  np.float64).reshape(-1, width - 1)
+            counts = []
+            for start, worker in zip(cuts[1:], workers):
+                try:
+                    range_ids = worker.result()
+                    if not ids.keys().isdisjoint(range_ids):
+                        raise LoadError(f"{path}: a cell id from byte {start} on repeats an "
+                                        "earlier one")
+                except LoadError:
+                    whole = _lines(path)
+                    next(whole, None)  # the header, checked above
+                    _parse_coordinates(path, whole, width, {})  # raises the error at its line
+                    raise
+                ids.update(zip(range_ids, repeat(None)))
+                counts.append(len(range_ids))
+            if workers:
+                first, table = table, np.empty((len(ids), width - 1))
+                pos = len(first)
+                table[:pos] = first
+                del first  # the first range's buffer, before the workers' bytes arrive
+                for rows, worker in zip(counts, workers):
+                    worker.readinto(table[pos:pos + rows])
+                    pos += rows
     return EmbeddingMatrix._adopt(tuple(ids), table)
 
 
@@ -437,43 +430,32 @@ def load_metadata(path) -> CellMetadata:
     """Parse the metadata file: header ``cell_id,batch[,cell_type]``; any
     other column is rejected.
 
-    Batch and cell type names are coded as each line is parsed, numbered by
-    first appearance within the range that reads them. A range sends back
-    its names in that order and its codes as one int64 per name column, row
-    after row; each later range's codes are mapped here into the file's
-    first-appearance order, the order ``encode_groups`` gives.
+    The file is read in this process, and batch and cell type names are
+    coded as each line is parsed, numbered by first appearance, the order
+    ``encode_groups`` gives.
     """
     path = Path(path)
-
-    def parse_range(lines, width, ids):
-        books = [{} for _ in range(width - 1)]  # name -> code, by first appearance
-        codes = array("q")
+    with closing(_lines(path)) as lines:
+        header = _read_header(path, lines)
+        if header not in _METADATA_HEADERS:
+            raise LoadError(f"{path}:1: header must be 'cell_id,batch' or "
+                            f"'cell_id,batch,cell_type', got {','.join(header)!r}")
+        width = len(header)
+        books = [{} for _ in header[1:]]  # name -> code, by first appearance
+        codes = [array("q") for _ in header[1:]]  # a code per row and name column
 
         def parse(fields):
             if not fields[1]:
                 return "empty batch name"
             if width == 3 and not fields[2]:
                 return "empty cell type (partial labels are not allowed)"
-            for book, name in zip(books, fields[1:]):
-                codes.append(book.setdefault(name, len(book)))
+            for book, column, name in zip(books, codes, fields[1:]):
+                column.append(book.setdefault(name, len(book)))
 
+        ids = {}
         _parse_rows(path, lines, width, parse, ids)
-        return [list(book) for book in books], codes
-
-    header, ids, parts, codes = _read_table(path, lambda header: (
-        None if header in _METADATA_HEADERS else "header must be 'cell_id,batch' or "
-        f"'cell_id,batch,cell_type', got {','.join(header)!r}"),
-        parse_range, np.int64)
-    books = [{} for _ in header[1:]]  # the file's names -> codes
-    pos = 0
-    for names, rows in parts:
-        for book, column, range_names in zip(books, codes[pos:pos + rows].T, names):
-            to_file = np.array([book.setdefault(name, len(book)) for name in range_names],
-                               dtype=np.int64)
-            column[:] = to_file[column]
-        pos += rows
-    labels = (codes[:, 1], tuple(books[1])) if len(books) == 2 else ()
-    return CellMetadata(tuple(ids), codes[:, 0], tuple(books[0]), *labels)
+    labels = (codes[1], tuple(books[1])) if width == 3 else ()
+    return CellMetadata(tuple(ids), codes[0], tuple(books[0]), *labels)
 
 
 def load_embeddings(matrix_path, metadata_path):

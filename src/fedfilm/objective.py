@@ -111,8 +111,8 @@ class ClientState:
     batch_index: int
     train_indices: np.ndarray
     holdout_indices: np.ndarray
-    m: np.ndarray = field(repr=False, default=None)
-    v: np.ndarray = field(repr=False, default=None)
+    m: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
     step: int = 0
     target: tuple[np.ndarray, np.ndarray] | None = field(repr=False, default=None)
 

@@ -463,7 +463,8 @@ def test_unknown_config_key_is_usage_error(synth_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", [{"rounds": 2.5}, {"rounds": "7"}, {"seed": 1.5},
-                                 {"learning_rate": "0.1"}, {"minibatch_size": True}])
+                                 {"learning_rate": "0.1"}, {"minibatch_size": True},
+                                 {"learning_rate": float("nan")}, {"lambda": float("-inf")}])
 def test_config_value_of_the_wrong_type_is_usage_error(synth_dir, tmp_path, capsys, doc):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -474,6 +475,19 @@ def test_config_value_of_the_wrong_type_is_usage_error(synth_dir, tmp_path, caps
     [key] = doc
     assert f"config key {key!r} must be" in capsys.readouterr().err
     assert not (tmp_path / "run" / "adapter.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [("--mu", "nan", "mu"), ("--lambda", "nan", "lambda"),
+                                              ("--learning-rate", "inf", "learning_rate")])
+def test_training_flag_that_is_not_finite_is_usage_error(synth_dir, tmp_path, capsys,
+                                                         flag, value, key):
+    code = run(["fit", "--embeddings", str(synth_dir / "embeddings.csv"),
+                "--metadata", str(synth_dir / "metadata.csv"),
+                "--out", str(tmp_path / "run"), flag, value])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == f"fedfilm fit: config key {key!r} must be a number, got {value}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_help_documents_flags(capsys):

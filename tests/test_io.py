@@ -166,6 +166,9 @@ def test_config_naming_a_fixed_training_value_is_a_config_error(key, value):
     ({"train_fraction": "0.5"}, "a number"),
     ({"target": 3}, "a string"),
     ({"aggregation_mode": ["full-table"]}, "a string"),
+    ({"learning_rate": float("nan")}, "a number"),
+    ({"mu": float("inf")}, "a number"),
+    ({"lambda": 10**400}, "a number"),  # past the largest float
 ])
 def test_config_values_of_the_wrong_type_are_config_errors(doc, kind):
     [(key, value)] = doc.items()
@@ -699,14 +702,19 @@ def test_a_large_matrix_splits_and_reads_and_writes_as_one_range(tmp_path, monke
     assert worker_pids and all_reaped(worker_pids)
 
 
-def test_metadata_split_into_ranges_reads_and_writes_as_one_range(tmp_path, ranges):
+def test_metadata_split_into_ranges_reads_and_writes_as_one_range(tmp_path, ranges,
+                                                                  worker_pids):
     emb, meta = random_embedding(seed=9, n=25, d=1)
     fio.save_metadata(tmp_path / "one.csv", meta)
     ranges(4)
     fio.save_metadata(tmp_path / "split.csv", meta)
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert len(fio._line_ranges(tmp_path / "one.csv")) == 5
+    assert worker_pids and all_reaped(worker_pids)
+    worker_pids.clear()
+    # metadata is read in the calling process, however many ranges it has
     loaded = fio.load_metadata(tmp_path / "one.csv")
+    assert not worker_pids
     assert loaded.cell_ids == meta.cell_ids
     assert loaded.batch_of == meta.batch_of and loaded.label_of == meta.label_of
 
@@ -825,7 +833,7 @@ METADATA_FAULTS = {
 
 @pytest.mark.parametrize("fault", METADATA_FAULTS)
 def test_a_faulty_metadata_line_in_any_range_raises_the_one_range_error(tmp_path, ranges,
-                                                                        fault):
+                                                                        worker_pids, fault):
     line_at, text = METADATA_FAULTS[fault]
     p = tmp_path / "meta.csv"
     for row in range(1 if fault == "duplicate" else 0, 10):
@@ -837,6 +845,7 @@ def test_a_faulty_metadata_line_in_any_range_raises_the_one_range_error(tmp_path
         assert one == f"{p}:{row + 2}: {text.format(i=row)}"
         ranges(3)
         assert load_outcome(fio.load_metadata, p) == one
+        assert len(fio._line_ranges(p)) == 4 and not worker_pids  # read in this process
 
 
 def test_a_worker_error_the_re_read_cannot_find_is_raised(tmp_path, ranges, monkeypatch,
@@ -910,9 +919,9 @@ def test_a_worker_never_unwinds_through_its_caller(tmp_path, ranges, monkeypatch
 
 def test_a_worker_that_sends_too_few_items_fails_the_load(tmp_path, ranges, monkeypatch,
                                                          worker_pids):
-    emb, meta = random_embedding(seed=14, n=30, d=2)
-    fio.save_embeddings(tmp_path / "emb.csv", emb)
-    fio.save_metadata(tmp_path / "meta.csv", meta)
+    emb, _ = random_embedding(seed=14, n=30, d=2)
+    p = tmp_path / "emb.csv"
+    fio.save_embeddings(p, emb)
     parent = os.getpid()
     real_parse = fio._parse_rows
 
@@ -930,10 +939,9 @@ def test_a_worker_that_sends_too_few_items_fails_the_load(tmp_path, ranges, monk
 
     monkeypatch.setattr(fio, "_parse_rows", parse_rows)
     ranges(3)
-    for name, load in (("emb.csv", fio.load_embedding_matrix), ("meta.csv", fio.load_metadata)):
-        with pytest.raises(fio.FedfilmError, match="ended before sending all its data"):
-            load(tmp_path / name)
-    assert len(worker_pids) == 4 and all_reaped(worker_pids)
+    with pytest.raises(fio.FedfilmError, match="ended before sending all its data"):
+        fio.load_embedding_matrix(p)
+    assert len(worker_pids) == 2 and all_reaped(worker_pids)
 
 
 def test_a_worker_error_is_raised_by_the_call(tmp_path, ranges, monkeypatch, worker_pids):

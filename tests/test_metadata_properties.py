@@ -117,7 +117,7 @@ def test_metadata_file_round_trip_is_exact(cols):
 
 @PROPERTY_SETTINGS
 @given(columns(names=FILE_NAMES), st.integers(1, 6))
-# names first seen in a later range, with and without a cell_type column
+# names first seen late in the file, with and without a cell_type column
 @example((["c0", "c1", "c2", "c3", "c4", "c5"], ["a", "a", "b", "a", "c", "b"],
           ["t", "t", "t", "u", "u", "v"]), 3)
 @example((["c0", "c1", "c2", "c3", "c4", "c5"], ["a", "a", "b", "a", "c", "b"], None), 6)

@@ -3,7 +3,8 @@ import pytest
 
 from fedfilm import TrainConfig, client_local_update, local_gradient, local_loss, make_client_state
 from fedfilm.core import ValidationError, identity_adapter, FilmAdapter
-from fedfilm.objective import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON, ClientEmptyError
+from fedfilm.objective import (_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON, ClientEmptyError,
+                               ClientState)
 
 from reference import closed_form_minimizer, fd_gradient
 
@@ -265,6 +266,11 @@ def test_config_rejects_unknown_target():
     ("learning_rate", "0.1", "a number"),
     ("mu", False, "a number"),
     ("target", None, "a string"),
+    # a number is finite
+    ("mu", float("nan"), "a number"),
+    ("lam", float("inf"), "a number"),
+    ("learning_rate", float("-inf"), "a number"),
+    ("train_fraction", float("nan"), "a number"),
 ])
 def test_config_values_of_the_wrong_type_name_their_field(field, value, kind):
     with pytest.raises(ValidationError, match=f"^{field} must be {kind}, got {value!r}$"):
@@ -274,3 +280,20 @@ def test_config_values_of_the_wrong_type_name_their_field(field, value, kind):
 def test_config_number_fields_take_integers():
     cfg = TrainConfig(learning_rate=1, train_fraction=1, mu=0)
     assert (cfg.learning_rate, cfg.train_fraction, cfg.mu) == (1, 1, 0)
+
+
+def test_client_state_needs_its_adam_moments():
+    train, holdout = np.arange(8), np.arange(8, 10)
+    with pytest.raises(TypeError, match="'m' and 'v'"):
+        ClientState("b", 0, train, holdout)
+    # a state built directly takes its first steps as the one make_client_state draws
+    cfg = TrainConfig(seed=3)
+    drawn = make_client_state("b", 0, 10, 2, cfg)
+    built = ClientState("b", 0, drawn.train_indices, drawn.holdout_indices,
+                        np.zeros((2, 2)), np.zeros((2, 2)))
+    cells = np.random.default_rng(4).standard_normal((10, 2))
+    snapshot = identity_adapter(("b",), 2)
+    for a, b in zip(client_local_update(built, cells, snapshot, cfg, 0),
+                    client_local_update(drawn, cells, snapshot, cfg, 0)):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert built.step == drawn.step > 0
