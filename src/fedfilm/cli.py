@@ -55,10 +55,7 @@ def _effective_config(args) -> fio.RunConfig:
     # each override flag's dest is its config field's name
     overrides = {key: getattr(args, name) for key, (_, name, _) in fio.CONFIG_KEYS.items()
                  if getattr(args, name, None) is not None}
-    try:
-        return fio.config_from_dict(overrides, base=cfg)
-    except fio.ConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    return fio.config_from_dict(overrides, base=cfg)
 
 
 def _prepare_outdir(path) -> Path:

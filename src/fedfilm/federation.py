@@ -25,7 +25,9 @@ from .core import (
     identity_adapter,
     items_at,
 )
+from .metrics import MetricsReport, evaluate
 from .objective import ClientState, TrainConfig, client_local_update, make_client_state
+from .synth import pca
 
 AGGREGATION_MODES = ("full-table", "row-restricted")
 
@@ -149,31 +151,26 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
         raise DimensionError(
             f"adapter dimension {init.d} does not match embedding dimension {emb.d}"
         )
-    for b in meta.batch_names:
-        init.row_index(b)  # raises MissingBatchError when a row is absent
+    # each batch's adapter row: the first batch without one raises MissingBatchError
+    rows = {b: init.row_index(b) for b in meta.batch_names}
     blocks = batch_row_indices(emb, meta)
-    sizes = {b: len(rows) for b, rows in blocks.items()}
-    for b, rows in blocks.items():
-        if len(rows) == 0:
+    for b, cells in blocks.items():
+        if len(cells) == 0:
             raise ValidationError(f"batch {b!r} has no cells")
 
-    participating = [
-        b for b in meta.batch_names if not init.frozen[init.row_index(b)]
-    ]
+    participating = [b for b, r in rows.items() if not init.frozen[r]]
     if not participating:
         raise ValidationError("no unfrozen batch to train on")
 
     clients: list[ClientState] = [
-        make_client_state(b, init.row_index(b), sizes[b], emb.d, cfg)
-        for b in participating
+        make_client_state(b, rows[b], len(blocks[b]), emb.d, cfg) for b in participating
     ]
     if cfg.target == "pooled":
         # one batch's cells gathered at a time, each released once its moments are in
         stats = {b: _moments(emb.values[blocks[b]]) for b in participating}
         # frozen batches at apply_adapter's expression: their corrected cells, bit for bit
-        frozen = {b: init.row_index(b) for b in meta.batch_names if b not in participating}
         reference = {b: _moments(init.gamma[r] * emb.values[blocks[b]] + init.beta[r])
-                     for b, r in frozen.items()}
+                     for b, r in rows.items() if init.frozen[r]}
         targets = _targets_on_pool(stats, reference or stats)
         for state in clients:
             state.target = targets[state.batch_name]
@@ -194,7 +191,7 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
                     f"client {state.batch_name!r}"
                 )
             contributions.append((state.batch_name, gamma_row, beta_row,
-                                  sizes[state.batch_name]))
+                                  len(blocks[state.batch_name])))
             log.append(RoundRecord(t, state.batch_name, train_loss, holdout_loss))
         adapter = aggregate(contributions, mode, snapshot)
     return adapter, log
@@ -233,15 +230,9 @@ class StageResult:
     batch_names: tuple[str, ...]
     corrected: EmbeddingMatrix
     adapter: FilmAdapter
-    report: object
-    baseline_report: object
+    report: MetricsReport
+    baseline_report: MetricsReport
     log: list[RoundRecord]
-
-
-def _stage_rows(meta: CellMetadata, batches) -> np.ndarray:
-    """Metadata rows of the given batches' cells, in metadata order."""
-    wanted = [meta.batch_names.index(b) for b in batches]
-    return np.flatnonzero(np.isin(meta.batch_codes, wanted))
 
 
 def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
@@ -262,9 +253,6 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
 
     Stage metrics use the scenario-safe metric subset.
     """
-    from .metrics import evaluate  # local imports keep module load light
-    from .synth import pca
-
     known = set(meta.batch_names)
     for group in plan.stages:
         for b in group:
@@ -280,26 +268,22 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
     seen: list[str] = []
     for si, group in enumerate(plan.stages):
         seen.extend(group)
-        cells = items_at(meta.cell_ids, _stage_rows(meta, seen))
+        # the seen batches' cells, in metadata order
+        wanted = [meta.batch_names.index(b) for b in seen]
+        cells = items_at(meta.cell_ids, np.flatnonzero(np.isin(meta.batch_codes, wanted)))
         sub_meta = meta.restricted_to(cells)
         base_emb = data.subset(cells)
-        if plan.mode == "cumulative":
-            if plan.pca_components is not None:
-                base_emb = pca(base_emb, plan.pca_components)
-            init = identity_adapter(sub_meta.batch_names, base_emb.d)
-            adapter, log = run_federated_fit(base_emb, sub_meta, cfg, init, mode=mode)
+        if plan.mode == "cumulative" and plan.pca_components is not None:
+            base_emb = pca(base_emb, plan.pca_components)
+        if plan.mode == "cumulative" or adapter is None:
+            init, fit_mode = identity_adapter(sub_meta.batch_names, base_emb.d), mode
         else:
+            # Only the new clients train; row-restricted aggregation keeps
+            # the frozen reference rows untouched by construction. The
+            # frozen batches' cells are the pooled target's reference.
             new = [b for b in sub_meta.batch_names if b in group]
-            if adapter is None:
-                adapter = identity_adapter(new, data.d)
-                fit_mode = mode
-            else:
-                # Only the new clients train; row-restricted aggregation keeps
-                # the frozen reference rows untouched by construction. The
-                # frozen batches' cells are the pooled target's reference.
-                adapter = adapter.with_new_batches(new)
-                fit_mode = "row-restricted"
-            adapter, log = run_federated_fit(base_emb, sub_meta, cfg, adapter, mode=fit_mode)
+            init, fit_mode = adapter.with_new_batches(new), "row-restricted"
+        adapter, log = run_federated_fit(base_emb, sub_meta, cfg, init, mode=fit_mode)
         # apply_adapter is row-local and frozen rows never change, so a
         # continual stage reproduces earlier stages' coordinates bit for bit
         corrected = apply_adapter(base_emb, sub_meta, adapter)

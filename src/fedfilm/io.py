@@ -312,16 +312,16 @@ def _read_header(path, lines) -> list[str]:
     return top[1].split(",")
 
 
-def _parse_rows(path, lines, width: int, parse, ids):
+def _parse_rows(path, lines, width: int, parse) -> dict:
     """Check data lines and hand each line's fields to ``parse``, which
-    returns what is wrong with them, or None.
+    returns what is wrong with them, or None; return the lines' cell ids as
+    the keys of an insertion-ordered dict.
 
     Each line must have ``width`` fields and a cell id of the allowed
-    characters that is not yet in ``ids``, an insertion-ordered dict of the
-    ids of the lines before, to which each line's id is added. Raises
-    ``LoadError`` naming the first faulty line, or the file when it has no
-    data line.
+    characters that no line before it has. Raises ``LoadError`` naming the
+    first faulty line, or the file when it has no data line.
     """
+    ids = {}
     with closing(lines):
         for ln, line in lines:
             fields = line.split(",")
@@ -339,6 +339,7 @@ def _parse_rows(path, lines, width: int, parse, ids):
             ids[cid] = None
     if not ids:
         raise LoadError(f"{path}: no data rows")
+    return ids
 
 
 def _coordinate_problem(fields) -> str:
@@ -352,8 +353,9 @@ def _coordinate_problem(fields) -> str:
             return f"non-finite coordinate {tok!r}"
 
 
-def _parse_coordinates(path, lines, width: int, ids):
-    """The coordinates of the data ``lines``, row after row, as checked by ``_parse_rows``."""
+def _parse_coordinates(path, lines, width: int):
+    """``(ids, values)``: the cell ids of the data ``lines`` and their
+    coordinates, row after row, as checked by ``_parse_rows``."""
     values = array("d")  # grown in place
 
     def parse(fields):
@@ -366,8 +368,7 @@ def _parse_coordinates(path, lines, width: int, ids):
             return _coordinate_problem(fields)
         values.fromlist(row)
 
-    _parse_rows(path, lines, width, parse, ids)
-    return values
+    return _parse_rows(path, lines, width, parse), values
 
 
 def load_embedding_matrix(path) -> EmbeddingMatrix:
@@ -390,14 +391,12 @@ def load_embedding_matrix(path) -> EmbeddingMatrix:
         width = len(header)
 
         def task(start, stop):
-            ids = {}
-            values = _parse_coordinates(path, _lines(path, start, stop), width, ids)
+            ids, values = _parse_coordinates(path, _lines(path, start, stop), width)
             return list(ids), values
 
         with _workers(partial(task, *cut) for cut in zip(cuts[1:-1], cuts[2:])) as workers:
-            ids = {}
-            table = np.frombuffer(_parse_coordinates(path, lines, width, ids),
-                                  np.float64).reshape(-1, width - 1)
+            ids, table = _parse_coordinates(path, lines, width)
+            table = np.frombuffer(table, np.float64).reshape(-1, width - 1)
             counts = []
             for start, worker in zip(cuts[1:], workers):
                 try:
@@ -408,7 +407,7 @@ def load_embedding_matrix(path) -> EmbeddingMatrix:
                 except LoadError:
                     whole = _lines(path)
                     next(whole, None)  # the header, checked above
-                    _parse_coordinates(path, whole, width, {})  # raises the error at its line
+                    _parse_coordinates(path, whole, width)  # raises the error at its line
                     raise
                 ids.update(zip(range_ids, repeat(None)))
                 counts.append(len(range_ids))
@@ -452,8 +451,7 @@ def load_metadata(path) -> CellMetadata:
             for book, column, name in zip(books, codes, fields[1:]):
                 column.append(book.setdefault(name, len(book)))
 
-        ids = {}
-        _parse_rows(path, lines, width, parse, ids)
+        ids = _parse_rows(path, lines, width, parse)
     labels = (codes[1], tuple(books[1])) if width == 3 else ()
     return CellMetadata(tuple(ids), codes[0], tuple(books[0]), *labels)
 

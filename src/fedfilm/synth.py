@@ -9,6 +9,7 @@ can reason about correction direction against known ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,13 @@ class SynthSpec:
         if len(cells) != self.n_batches or any(c < 1 for c in cells):
             raise ValidationError("cells_per_batch must give >= 1 cell per batch")
         object.__setattr__(self, "cells_per_batch", cells)
+        numbers = {"centroid_scale": [self.centroid_scale], "noise_sigma": [self.noise_sigma],
+                   "effect_scale_range": self.effect_scale_range,
+                   "effect_shift_sigma": [self.effect_shift_sigma],
+                   "type_mixture": [float(p) for row in self.type_mixture or () for p in row]}
+        for name, values in numbers.items():
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         lo, hi = self.effect_scale_range
         if not (0 < lo <= hi):
             raise ValidationError("effect scale range must satisfy 0 < lo <= hi")
@@ -103,15 +111,10 @@ def generate(spec: SynthSpec):
     else:
         mixture = np.array(spec.type_mixture, dtype=np.float64)
 
-    type_idx = []
-    batch_idx = []
-    for b in range(B):
-        counts = _allocate_counts(spec.cells_per_batch[b], mixture[b])
-        for t, c in enumerate(counts):
-            type_idx.extend([t] * int(c))
-            batch_idx.extend([b] * int(c))
-    type_idx = np.array(type_idx)
-    batch_idx = np.array(batch_idx)
+    counts = np.array([_allocate_counts(n, props)
+                       for n, props in zip(spec.cells_per_batch, mixture)])
+    type_idx = np.repeat(np.tile(np.arange(C), B), counts.ravel())
+    batch_idx = np.repeat(np.arange(B), counts.sum(axis=1))
     n = len(type_idx)
 
     noise = spec.noise_sigma * rng.standard_normal((n, d))

@@ -369,6 +369,13 @@ MISSING = "cannot read {missing}: [Errno 2] No such file or directory: '{missing
                  MISSING, id="baseline-pca"),
     pytest.param(["synth", "--batches", "0", "--types", "2", "--dim", "2",
                   "--cells-per-batch", "5"], "counts and dimension must be >= 1", id="synth"),
+    *(pytest.param(["synth", "--batches", "2", "--types", "2", "--dim", "2",
+                    "--cells-per-batch", "5", flag, value], f"{name} must be finite",
+                   id=f"synth{flag}-{value}")
+      for flag, value, name in [("--scale-hi", "inf", "effect_scale_range"),
+                                ("--noise-sigma", "nan", "noise_sigma"),
+                                ("--centroid-scale", "inf", "centroid_scale"),
+                                ("--shift-sigma", "nan", "effect_shift_sigma")]),
 ])
 def test_failed_command_leaves_no_out_directory(tmp_path, synth_dir, capsys, argv, cause):
     plan = tmp_path / "plan.json"

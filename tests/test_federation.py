@@ -417,6 +417,35 @@ def test_scenario_cumulative_single_stage_matches_fit():
     assert results[0].report.subset == "scenario"
 
 
+@pytest.mark.parametrize("target", ["self", "pooled"])
+def test_scenario_continual_stages_match_direct_fits(target):
+    # each stage is one fit on the cells seen so far: the first from identity
+    # in the configured mode, each later one from the previous stage's frozen
+    # adapter plus identity rows for its new batches, row-restricted
+    emb, meta, _ = synthetic_instance(n_batches=4, cells_per_batch=40, seed=23)
+    b = meta.batch_names
+    plan = ScenarioPlan(mode="continual", stages=((b[0], b[1]), (b[2],), (b[3],)))
+    cfg = TrainConfig(seed=5, rounds=3, target=target)
+    results = run_scenario(plan, emb, meta, cfg, mode="full-table", knn_k=10)
+    previous, seen = None, []
+    for result, group in zip(results, plan.stages):
+        seen.extend(group)
+        cells = [c for c in meta.cell_ids if meta.batch_of[c] in seen]
+        if previous is None:
+            init, mode = identity_adapter(group, emb.d), "full-table"
+        else:
+            init, mode = previous.with_new_batches(group), "row-restricted"
+        direct, log = run_federated_fit(emb.subset(cells), meta.restricted_to(cells), cfg,
+                                        init, mode=mode)
+        direct = direct.freeze(group)
+        assert result.adapter.batch_names == direct.batch_names
+        assert result.adapter.frozen == direct.frozen
+        assert np.array_equal(result.adapter.gamma, direct.gamma)
+        assert np.array_equal(result.adapter.beta, direct.beta)
+        assert result.log == log
+        previous = result.adapter
+
+
 def test_scenario_unknown_batch_rejected():
     emb, meta, _ = synthetic_instance(n_batches=2, cells_per_batch=30)
     plan = ScenarioPlan(mode="continual", stages=(("nope",),))

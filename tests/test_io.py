@@ -880,10 +880,10 @@ def test_workers_end_with_their_call_and_leave_no_part_file(tmp_path, ranges, mo
     parent = os.getpid()
     real_parse = fio._parse_rows
 
-    def parse_rows(path, lines, width, parse, ids):
+    def parse_rows(path, lines, width, parse):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real_parse(path, lines, width, parse, ids)
+        return real_parse(path, lines, width, parse)
 
     monkeypatch.setattr(fio, "_parse_rows", parse_rows)
     with pytest.raises(KeyboardInterrupt):
@@ -899,10 +899,10 @@ def test_a_worker_never_unwinds_through_its_caller(tmp_path, ranges, monkeypatch
     parent = os.getpid()
     real_parse = fio._parse_rows
 
-    def parse_rows(path, lines, width, parse, ids):
+    def parse_rows(path, lines, width, parse):
         if os.getpid() != parent:
             raise KeyboardInterrupt
-        return real_parse(path, lines, width, parse, ids)
+        return real_parse(path, lines, width, parse)
 
     monkeypatch.setattr(fio, "_parse_rows", parse_rows)
     ranges(3)
@@ -925,9 +925,9 @@ def test_a_worker_that_sends_too_few_items_fails_the_load(tmp_path, ranges, monk
     parent = os.getpid()
     real_parse = fio._parse_rows
 
-    def parse_rows(path, lines, width, parse, ids):
+    def parse_rows(path, lines, width, parse):
         if os.getpid() == parent:
-            return real_parse(path, lines, width, parse, ids)
+            return real_parse(path, lines, width, parse)
         skipped = []  # a worker keeps its first line's id but not its items
 
         def parse_all_but_first(fields):
@@ -935,7 +935,7 @@ def test_a_worker_that_sends_too_few_items_fails_the_load(tmp_path, ranges, monk
                 return parse(fields)
             skipped.append(fields)
 
-        return real_parse(path, lines, width, parse_all_but_first, ids)
+        return real_parse(path, lines, width, parse_all_but_first)
 
     monkeypatch.setattr(fio, "_parse_rows", parse_rows)
     ranges(3)

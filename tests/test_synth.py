@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from fedfilm import EmbeddingMatrix, SynthSpec, generate, pca
 from fedfilm.core import CellMetadata, ValidationError
+from fedfilm.synth import _allocate_counts
 
 
 def test_generate_no_effect_batches_share_distribution():
@@ -58,6 +61,22 @@ def test_generate_type_mixture_counts():
     assert ("batch1", "type0") not in counts
 
 
+def test_generate_lays_cells_out_by_batch_then_type():
+    # the reference layout, by loops: each batch's cells in turn, within a
+    # batch each type's allocated count in turn, absent types included
+    spec = SynthSpec(n_batches=3, n_types=4, dim=2, cells_per_batch=(7, 12, 5),
+                     type_mixture=((0.0, 0.5, 0.25, 0.25), (0.1, 0.0, 0.0, 0.9),
+                                   (0.25, 0.25, 0.25, 0.25)), seed=2)
+    _, meta, _ = generate(spec)
+    batches, types = [], []
+    for b, (n, row) in enumerate(zip(spec.cells_per_batch, spec.type_mixture)):
+        for t, count in enumerate(_allocate_counts(n, np.array(row))):
+            batches += [f"batch{b}"] * int(count)
+            types += [f"type{t}"] * int(count)
+    assert [meta.batch_of[c] for c in meta.cell_ids] == batches
+    assert [meta.label_of[c] for c in meta.cell_ids] == types
+
+
 def test_generate_numbers_groups_as_from_columns_does():
     # type 0 is absent from batch 0, so the types first appear as 1, 2, 0
     spec = SynthSpec(n_batches=3, n_types=3, dim=2, cells_per_batch=(6, 9, 4),
@@ -97,6 +116,20 @@ def test_generate_validation():
     with pytest.raises(ValidationError):
         SynthSpec(n_batches=1, n_types=2, dim=1, cells_per_batch=1,
                   type_mixture=((0.7, 0.7),))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("centroid_scale", math.inf),
+    ("noise_sigma", math.nan),
+    ("effect_shift_sigma", math.nan),
+    pytest.param("effect_scale_range", (0.7, math.inf), id="effect_scale_range-hi-inf"),
+    pytest.param("effect_scale_range", (math.nan, 1.0), id="effect_scale_range-lo-nan"),
+    pytest.param("type_mixture", ((math.nan, 1.0), (0.5, 0.5)), id="type_mixture-nan"),
+])
+def test_spec_rejects_non_finite_numbers(name, value):
+    # a nan mixture entry passes the probability-vector checks and miscounts the cells
+    with pytest.raises(ValidationError, match=f"^{name} must be finite, got "):
+        SynthSpec(2, 2, 2, 5, **{name: value})
 
 
 def test_correcting_adapter_inverts_effects():
