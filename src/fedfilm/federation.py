@@ -137,11 +137,13 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
                       init: FilmAdapter, mode: str = "full-table"):
     """Run the full round loop and return ``(final adapter, training log)``.
 
-    Clients are the non-frozen batches present in ``meta``; all of them
-    participate every round, and each submits to ``aggregate`` only its own
-    batch's (gamma, beta) rows with its weight. Aggregation weights count
-    all of a batch's cells in ``emb``, not only its training split; ``meta``
-    may cover more cells than ``emb``. With ``cfg.target == "pooled"`` each
+    Clients are the non-frozen batches of ``meta`` that have cells in
+    ``emb``; all of them participate every round, and each submits to
+    ``aggregate`` only its own batch's (gamma, beta) rows with its weight.
+    Aggregation weights count all of a batch's cells in ``emb``, not only
+    its training split. ``meta`` may cover more cells than ``emb``; its
+    batches with no cell there are skipped: they get neither a client nor a
+    place in the pooled reference. With ``cfg.target == "pooled"`` each
     client's target map comes from ``pooled_targets``. Its reference is the
     frozen batches in ``meta``, their cells corrected by their frozen rows;
     without frozen batches the participating batches pool among themselves.
@@ -151,12 +153,9 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
         raise DimensionError(
             f"adapter dimension {init.d} does not match embedding dimension {emb.d}"
         )
-    # each batch's adapter row: the first batch without one raises MissingBatchError
-    rows = {b: init.row_index(b) for b in meta.batch_names}
-    blocks = batch_row_indices(emb, meta)
-    for b, cells in blocks.items():
-        if len(cells) == 0:
-            raise ValidationError(f"batch {b!r} has no cells")
+    blocks = {b: cells for b, cells in batch_row_indices(emb, meta).items() if len(cells)}
+    # each such batch's adapter row: the first without one raises MissingBatchError
+    rows = {b: init.row_index(b) for b in blocks}
 
     participating = [b for b, r in rows.items() if not init.frozen[r]]
     if not participating:

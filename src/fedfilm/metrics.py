@@ -190,23 +190,25 @@ def _in_lanes(items, work) -> list:
     return results
 
 
-def _panel_rows(n: int) -> int:
-    """Rows of each panel of distances when an (n, n) sweep is cut into
-    panels: the fewest whole 32-row chunks that hold _PANEL_ENTRIES."""
-    return _CHUNK_ROWS * -(-_PANEL_ENTRIES // (_CHUNK_ROWS * max(n, 1)))
+def _panel_rows(n: int, width: int) -> int:
+    """Rows of each panel of distances when an (n, n) sweep whose products
+    are at least ``width`` wide is cut into panels: the fewest whole 32-row
+    chunks whose products, rows x n x width, reach _PRODUCT_FLOOR."""
+    return _CHUNK_ROWS * -(-_PRODUCT_FLOOR // (_CHUNK_ROWS * max(n * width, 1)))
 
 
-def _panel_plan(n: int) -> list[int]:
+def _panel_plan(n: int, width: int) -> list[int]:
     """The sweep's panel cuts ``[0, per, 2 per, ..., n]``, ``per =
-    _panel_rows(n)``: a remainder shorter than one panel joins the last.
+    _panel_rows(n, width)``: a remainder shorter than one panel joins the
+    last.
 
-    The cuts depend on ``n`` alone, so every product the sweep runs has the
-    same shape on any CPU count. Every panel is ``per`` rows but the last,
-    which is under ``2 per``. Each lane holds one panel buffer, so ``lanes``
-    lanes hold fewer than ``(lanes + 1) * per * n`` distances, where
-    ``per * n < 2^20 + 32 n``: 8 MB plus 256 bytes a cell.
+    The cuts depend on ``n`` and ``width`` alone, so every product the sweep
+    runs has the same shape on any CPU count. Every panel is ``per`` rows
+    but the last, which is under ``2 per``. Each lane holds one panel
+    buffer, so ``lanes`` lanes hold fewer than ``(lanes + 1) * per * n``
+    distances, where ``per * n < 2^20 / width + 32 n``.
     """
-    per = _panel_rows(n)
+    per = _panel_rows(n, width)
     return list(range(0, max(n - per, 0) + 1, per)) + [n]
 
 
@@ -221,7 +223,7 @@ def _distance_sweep(values, k: int | None, codes):
     feeds both.
     """
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
+    n, d = values.shape
     neighbors = sums = None
     if k is not None:
         if k < 1:
@@ -245,6 +247,8 @@ def _distance_sweep(values, k: int | None, codes):
         chunk_rows = min(max(1, _CHUNK_ROWS // lanes), n)
         panel = np.empty((max(hi - lo for lo, hi in spans), n))
         pair_sq = np.empty((chunk_rows, n))
+        # a spent chunk of pair sums, reused as the mask of entries to clamp
+        spent = pair_sq.reshape(-1).view(np.bool_)
         for lo, hi in spans:
             d2 = np.matmul(2.0 * values[lo:hi], values.T, out=panel[:hi - lo])
             for a in range(lo, hi, chunk_rows):
@@ -254,7 +258,9 @@ def _distance_sweep(values, k: int | None, codes):
                 chunk = d2[a - lo:b - lo]
                 np.subtract(np.add(sq[a:b, None], sq[None, :], out=pair_sq[:b - a]),
                             chunk, out=chunk)
-                np.maximum(chunk, 0.0, out=chunk)
+                # np.maximum(chunk, 0.0) bit for bit (-0.0 to +0.0, nan kept), and cheaper
+                np.copyto(chunk, 0.0, where=np.less_equal(
+                    chunk, 0.0, out=spent[:chunk.size].reshape(chunk.shape)))
                 if neighbors is not None:
                     chunk[own] = np.inf
                     neighbors[a:b] = _nearest(chunk, k)
@@ -265,8 +271,9 @@ def _distance_sweep(values, k: int | None, codes):
                 np.matmul(d2, onehot, out=sums[lo:hi])
         return [None] * len(spans)  # the panels' rows are written in place
 
-    # panel i runs on lane i % lanes; the lanes meet only at the end
-    cuts = _panel_plan(n)
+    # a panel's products are rows x d x n and, with a silhouette, rows x n x groups;
+    # panel i runs on lane i % lanes, and the lanes meet only at the end
+    cuts = _panel_plan(n, d if sums is None else min(d, sums.shape[1]))
     _in_lanes(list(zip(cuts, cuts[1:])), lane)
     silhouette = None if sums is None else _silhouette_from_sums(sums, coded)
     return neighbors, silhouette
@@ -278,9 +285,11 @@ def _distance_sweep(values, k: int | None, codes):
 _CHUNK_ROWS = 32
 
 # OpenBLAS runs a product of m * n * k up to 10^6 on its small-matrix path,
-# which rounds differently: a panel of at least 2^20 distances keeps both of
-# a panel's products (rows x d x n and rows x n x groups) off it
-_PANEL_ENTRIES = 1 << 20
+# which rounds differently. A panel whose rows x n x width reach this keeps
+# both of its products (rows x d x n and rows x n x groups) off it, width
+# being the smaller of d and groups; off it, a panel's height moves at most
+# the last bit of its last rows' distances in the last n mod 8 columns
+_PRODUCT_FLOOR = 1 << 20
 
 # _nearest bounds each row's k-th distance by the k-th smallest of every
 # _SAMPLE_STRIDE-th column; any stride is exact, 4 was the fastest measured

@@ -369,6 +369,25 @@ def test_fit_on_metadata_covering_more_cells_than_the_matrix(target):
     assert log1 == log2
 
 
+@pytest.mark.parametrize("target, frozen", [("self", ()), ("pooled", ()), ("pooled", ("batch1",))],
+                         ids=["self", "pooled", "pooled-frozen"])
+def test_fit_skips_metadata_batches_without_cells(target, frozen):
+    # the matrix holds batch0's cells alone: batch1 gets no client and no
+    # place in the pooled reference, and keeps its initial row
+    emb, meta, _ = generate(SynthSpec(2, 2, 4, 20, seed=2))
+    sub = emb.subset(emb.cell_ids[:20])
+    alone = meta.restricted_to(sub.cell_ids)
+    assert alone.batch_names == ("batch0",)
+    cfg = TrainConfig(seed=4, rounds=3, target=target)
+    init = identity_adapter(meta.batch_names, emb.d).freeze(frozen)
+    adapter, log = run_federated_fit(sub, meta, cfg, init)
+    want, want_log = run_federated_fit(sub, alone, cfg, init)
+    assert log == want_log
+    assert np.array_equal(adapter.gamma, want.gamma) and np.array_equal(adapter.beta, want.beta)
+    assert np.array_equal(adapter.gamma[1], init.gamma[1])
+    assert np.array_equal(adapter.beta[1], init.beta[1])
+
+
 def test_fit_requires_adapter_rows_for_all_batches():
     emb, meta, _ = synthetic_instance()
     from fedfilm.core import MissingBatchError

@@ -861,8 +861,9 @@ def test_one_batch_evaluate_builds_the_graph_only_for_a_metric_that_reads_it(
 
 
 def test_distance_sweep_holds_one_block_of_distances():
+    # one coordinate: products one wide, so a panel holds 2^20 distances
     rng = np.random.default_rng(8)
-    values = rng.standard_normal((1000, 8))
+    values = rng.standard_normal((1000, 1))
     codes = rng.integers(0, 4, 1000)
     tracemalloc.start()
     try:
@@ -870,7 +871,7 @@ def test_distance_sweep_holds_one_block_of_distances():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert metrics._panel_plan(1000) == [0, 1000]  # one (1000, 1000) panel
+    assert metrics._panel_plan(1000, 1) == [0, 1000]  # one (1000, 1000) panel
     assert peak <= 1.3 * 1000 * 1000 * 8
 
 
@@ -882,18 +883,35 @@ def lane_buffers(cuts, parts):
     return [max(hi - lo for lo, hi in spans[i::lanes]) for i in range(lanes)]
 
 
-@pytest.mark.parametrize("n, cpus, rows", [
-    (n, cpus, rows)
-    for n, rows in [(1000, 1056), (20_000, 64), (50_000, 32), (200_000, 32)]
-    for cpus in (1, 2, 8)
-])
-def test_panel_plan_gives_every_cpu_a_panel(n, cpus, rows):
-    assert metrics._panel_rows(n) == rows
-    assert rows * n >= 1 << 20  # a panel's products stay on the large-matrix path
-    cuts = metrics._panel_plan(n)
+# (cells, width): the rows of each panel and of the last one. Products one
+# wide hold 2^20 distances a panel; the others are the sweeps of
+# evaluate-20k, of a continual-10k stage, of its first stage and of its
+# per-label batch silhouettes
+PANEL_SIZES = {
+    (1000, 1): (1056, 1000), (20_000, 1): (64, 96), (50_000, 1): (32, 48),
+    (200_000, 1): (32, 32), (20_000, 8): (32, 32), (10_000, 8): (32, 48),
+    (2_500, 8): (64, 68), (1_250, 4): (224, 354),
+}
+
+
+def plan_case(n, width, cpus):
+    rows = PANEL_SIZES[n, width][0]
+    # a width-1 case is named as it was when every panel held 2^20 distances
+    name = f"{n}-{cpus}-{rows}" if width == 1 else f"{n}x{width}-{cpus}-{rows}"
+    return pytest.param(n, width, cpus, id=name)
+
+
+@pytest.mark.parametrize("n, width, cpus", [
+    plan_case(n, width, cpus) for n, width in PANEL_SIZES for cpus in (1, 2, 8)])
+def test_panel_plan_gives_every_cpu_a_panel(n, width, cpus):
+    rows, last = PANEL_SIZES[n, width]
+    assert metrics._panel_rows(n, width) == rows
+    # the fewest whole chunks whose products reach 2^20: both of a panel's
+    # products stay on the large-matrix path
+    assert rows * n * width >= 1 << 20 > (rows - 32) * n * width
+    cuts = metrics._panel_plan(n, width)
     # panels of `rows` rows from row 0; a remainder shorter than one panel
     # joins the last, so it is under two panels, and the input alone sets them
-    last = {1000: 1000, 20_000: 96, 50_000: 48, 200_000: 32}[n]
     assert cuts == list(range(0, n - last + 1, rows)) + [n]
     assert last < 2 * rows
     # the panels are dealt to the CPUs in turn: every CPU gets one while
@@ -904,8 +922,8 @@ def test_panel_plan_gives_every_cpu_a_panel(n, cpus, rows):
     # each lane's buffer is one panel tall, and the last panel's lane's as tall as it
     assert sorted(lanes) == [rows] * (len(lanes) - 1) + [last]
     # the bound the plan states: all lanes together under (lanes + 1) panels
-    # of under 2^20 + 32 n distances each
-    assert rows * n < (1 << 20) + 32 * n and sum(lanes) < (len(lanes) + 1) * rows
+    # of under 2^20 / width + 32 n distances each
+    assert rows * n < (1 << 20) / width + 32 * n and sum(lanes) < (len(lanes) + 1) * rows
     if n == 200_000 and cpus == 8:
         # one 32-row panel per CPU: 410 MB of distances, 8 times one CPU's
         assert sum(lanes) * n == 8 * 32 * 200_000
@@ -919,7 +937,7 @@ def test_distance_sweep_holds_its_panels_of_distances(monkeypatch, cpus):
     values = rng.standard_normal((n, 8))
     codes = rng.integers(0, 4, n)
     parts = cpus if metrics._openblas_controls() else 1
-    panels = sum(lane_buffers(metrics._panel_plan(n), parts))
+    panels = sum(lane_buffers(metrics._panel_plan(n, 4), parts))  # 8 coordinates, 4 groups
     tracemalloc.start()
     try:
         metrics._distance_sweep(values, 15, codes)
@@ -930,16 +948,35 @@ def test_distance_sweep_holds_its_panels_of_distances(monkeypatch, cpus):
     assert peak <= 1.3 * (panels + metrics._CHUNK_ROWS) * n * 8
 
 
+def test_distance_sweep_panels_are_sized_by_their_products(monkeypatch):
+    # evaluate's sweep at a continual-10k first stage: 2,500 cells of 32
+    # coordinates in 8 groups. Panels of 2^20 distances, 448 rows and a last
+    # one of 708, held 25 MB on two lanes; products of 2^20 need 64 rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = np.random.default_rng(14)
+    values = rng.standard_normal((2500, 32))
+    codes = rng.integers(0, 8, 2500)
+    tracemalloc.start()
+    try:
+        metrics._distance_sweep(values, 15, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
 def test_sweep_results_do_not_depend_on_the_panels_or_the_cpu_count(monkeypatch):
     n = 3000
     rng = np.random.default_rng(12)
     values = rng.standard_normal((n, 16))
-    groupings = [rng.integers(0, groups, n) for groups in (2, 4)]
+    group_counts = (2, 4)
+    groupings = [rng.integers(0, groups, n) for groups in group_counts]
     results, joined = [], False
-    for height in (None, 32, 96, 160, 1024):  # None: the planned panels
+    heights = (None, 32, 96, 160, 1024)  # None: the planned panels
+    for height in heights:
         if height is not None:
-            monkeypatch.setattr(metrics, "_panel_rows", lambda n, rows=height: rows)
-            cuts = metrics._panel_plan(n)
+            monkeypatch.setattr(metrics, "_panel_rows", lambda n, width, rows=height: rows)
+            cuts = metrics._panel_plan(n, 1)
             joined |= cuts[-1] - cuts[-2] > height
         by_cpus = []
         for cpus in (1, 2, 3):
@@ -953,10 +990,21 @@ def test_sweep_results_do_not_depend_on_the_panels_or_the_cpu_count(monkeypatch)
         results.append(by_cpus[0])
     assert joined  # some height leaves a short remainder for the last panel
     want = results[0]
-    for got in results[1:]:
-        for (neighbors, silhouette), (want_neighbors, want_silhouette) in zip(got, want):
-            assert np.array_equal(neighbors, want_neighbors)
-            assert np.allclose(silhouette, want_silhouette, rtol=0, atol=1e-12)
+    exact = 0
+    for height, got in zip(heights[1:], results[1:]):
+        for groups, (neighbors, silhouette), (want_neighbors, want_silhouette) in zip(
+                group_counts, got, want):
+            # rows x d x n reaches 2^20 at every height here
+            assert neighbors.tobytes() == want_neighbors.tobytes()
+            if height * n * groups >= 1 << 20:
+                # both products off the small-matrix path, where a panel's
+                # height can move only its last rows' entries in the last
+                # n mod 8 columns, and 3,000 is a multiple of 8
+                assert silhouette.tobytes() == want_silhouette.tobytes()
+                exact += 1
+            else:
+                assert np.allclose(silhouette, want_silhouette, rtol=0, atol=1e-12)
+    assert 0 < exact < 2 * (len(heights) - 1)  # heights on both sides of the bound
     # the slow references take about 20 ms a row: both ends, both sides of
     # some cuts, and a sample
     rows = sorted({0, 31, 32, 95, 96, 159, 160, 1023, 1024, 2879, 2880, n - 1,
@@ -965,6 +1013,23 @@ def test_sweep_results_do_not_depend_on_the_panels_or_the_cpu_count(monkeypatch)
     for codes, (_, silhouette) in zip(groupings, want):
         assert np.allclose(silhouette[rows], slow_silhouette(values, codes.tolist(), rows),
                            rtol=0, atol=1e-12)
+
+
+def test_sweep_clamps_squared_distances_that_round_below_zero():
+    # near-duplicate rows: the Gram form of their squared distance rounds to
+    # either sign of zero, and the sweep clamps it to +0.0 as the reference
+    # does, so each row's twins tie at 0 and go by row index
+    rng = np.random.default_rng(15)
+    values = np.repeat(100 * rng.standard_normal((40, 4)), 3, axis=0)
+    values += 1e-13 * rng.standard_normal(values.shape)
+    codes = rng.integers(0, 3, len(values))
+    sq = np.sum(values * values, axis=1)
+    gram = (sq[:, None] + sq[None, :]) - (2.0 * values) @ values.T
+    assert (gram < 0).any() and (gram > 0).any()
+    neighbors, silhouette = metrics._distance_sweep(values, 5, codes)
+    assert neighbors.tobytes() == lexsort_knn(gram_sq_dists(values), 5).tobytes()
+    # a negative left under the square root would be nan and warn
+    assert np.allclose(silhouette, slow_silhouette(values, codes.tolist()), rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("run", ["sweep", "batch_asw"])
@@ -1015,7 +1080,7 @@ def test_a_failing_worker_thread_is_joined_and_the_blas_threads_restored(
 
     if call == "sweep":
         # 32-row panels, so that 200 cells make panels for both lanes
-        monkeypatch.setattr(metrics, "_panel_rows", lambda n: 32)
+        monkeypatch.setattr(metrics, "_panel_rows", lambda n, width: 32)
         monkeypatch.setattr(metrics, "_nearest", failing(metrics._nearest))
         run = lambda: metrics._distance_sweep(values, 5, None)  # noqa: E731
     else:
@@ -1049,7 +1114,7 @@ def test_a_call_joins_its_threads_and_restores_the_blas_threads(request, monkeyp
         return run
 
     if call == "sweep":
-        monkeypatch.setattr(metrics, "_panel_rows", lambda n: 32)
+        monkeypatch.setattr(metrics, "_panel_rows", lambda n, width: 32)
         want = metrics._distance_sweep(values, 5, None)[0]
         monkeypatch.setattr(metrics, "_nearest", recording(metrics._nearest))
         run = lambda: metrics._distance_sweep(values, 5, None)[0]  # noqa: E731
@@ -1105,7 +1170,7 @@ def test_sweep_and_kmeans_on_more_threads_than_cpus_under_fast_switching(monkeyp
     rng = np.random.default_rng(10)
     values = rng.standard_normal((700, 3))
     codes = rng.integers(0, 3, 700)
-    monkeypatch.setattr(metrics, "_panel_rows", lambda n: 32)  # 700 cells in 21 panels
+    monkeypatch.setattr(metrics, "_panel_rows", lambda n, width: 32)  # 700 cells in 21 panels
 
     def run():
         neighbors, silhouette = metrics._distance_sweep(values, 7, codes)
@@ -1131,11 +1196,11 @@ def test_sweep_lanes_of_several_parts_under_fast_switching(monkeypatch):
     rng = np.random.default_rng(13)
     values = rng.standard_normal((700, 3))
     codes = rng.integers(0, 3, 700)
-    monkeypatch.setattr(metrics, "_panel_rows", lambda n: 32)
+    monkeypatch.setattr(metrics, "_panel_rows", lambda n, width: 32)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     want = metrics._distance_sweep(values, 7, codes)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert len(metrics._panel_plan(700)) - 1 > 8  # more panels than lanes
+    assert len(metrics._panel_plan(700, 3)) - 1 > 8  # more panels than lanes
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

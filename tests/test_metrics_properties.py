@@ -113,7 +113,7 @@ def usable_cpus(count):
 def test_distance_sweep_in_parts_equals_the_one_part_sweep(case):
     values, k, codes, count, rows = case
     # the planned panels hold 600 cells in one; smaller ones give the lanes work
-    with mock.patch.object(metrics, "_panel_rows", lambda n: rows):
+    with mock.patch.object(metrics, "_panel_rows", lambda n, width: rows):
         with usable_cpus(1):
             neighbors, silhouette = metrics._distance_sweep(values, k, codes)
         with usable_cpus(count):
