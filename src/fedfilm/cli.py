@@ -169,10 +169,12 @@ def _cmd_scenario(args) -> int:
                            metrics_seed=cfg.train.seed)
     out = _prepare_outdir(args.out)
     artifacts = []
+    earlier = None  # the previous stage's file and matrix, whose lines a continual stage repeats
     for stage in results:
         sdir = out / f"stage{stage.stage_index}"
         sdir.mkdir(exist_ok=True)
-        fio.save_embeddings(sdir / "corrected_embeddings.csv", stage.corrected)
+        fio.save_embeddings(sdir / "corrected_embeddings.csv", stage.corrected, earlier)
+        earlier = (sdir / "corrected_embeddings.csv", stage.corrected)
         fio.save_adapter(sdir / "adapter.json", stage.adapter)
         fio.save_training_log(sdir / "training_log.csv", stage.log)
         names = ["corrected_embeddings.csv", "adapter.json", "training_log.csv",

@@ -196,10 +196,14 @@ def _line_ranges(path) -> list:
 # ---------------------------------------------------------------------------
 # embeddings and metadata
 
-def _write_rows(path, columns, cell_ids, rows):
+def _write_rows(path, columns, cell_ids, rows, head=None):
     """Write a header ``cell_id,<columns>`` and one line per cell id: the id,
     then the fields that ``rows(lo, hi)`` gives for each row from ``lo`` to
     ``hi``. Every id is checked before anything is written.
+
+    With ``head``, the path of a file that holds that header and lines for
+    cells before these, the file's bytes are copied in place of the header,
+    and the lines of ``cell_ids`` follow them.
 
     The rows are cut into ``_range_count`` ranges of equal row count, sized
     by the first row's line. The first range is written here; each later one
@@ -221,12 +225,16 @@ def _write_rows(path, columns, cell_ids, rows):
             write(file, lo, hi)
         return None, None
 
-    n = len(cell_ids)
-    first = f"{cell_ids[0]},{','.join(next(iter(rows(0, 1))))}\n"
+    n = len(cell_ids)  # 0 when head holds every line
+    first = f"{cell_ids[0]},{','.join(next(iter(rows(0, 1))))}\n" if n else ""
     parts = _range_count(n * len(first.encode("utf-8")))
     cuts = [i * n // parts for i in range(parts + 1)]
     with open(path, "w", encoding="utf-8") as file, ExitStack() as stack:
-        file.write(",".join(["cell_id", *columns]) + "\n")
+        if head is None:
+            file.write(",".join(["cell_id", *columns]) + "\n")
+        else:
+            with open(head, "rb") as earlier:
+                shutil.copyfileobj(earlier, file.buffer)
         temps = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent)) for _ in cuts[2:]]
         with _workers(partial(write_part, *args)
                       for args in zip(temps, cuts[1:], cuts[2:])) as workers:
@@ -238,22 +246,44 @@ def _write_rows(path, columns, cell_ids, rows):
                 shutil.copyfileobj(temp, file.buffer)
 
 
-def save_embeddings(path, emb: EmbeddingMatrix):
-    save_embedding_rows(path, emb.cell_ids, emb.d, lambda lo, hi: emb.values[lo:hi])
+def save_embeddings(path, emb: EmbeddingMatrix, earlier=None):
+    """Write ``emb`` as an embedding file.
+
+    ``earlier`` is ``(path, matrix)``: a file this function wrote for
+    ``matrix``. When ``emb``'s first ``matrix.n`` cells are that matrix's
+    cells in the same order, and their rows are bit-identical (``-0.0`` and
+    ``0.0`` differ), the file's bytes are copied and only the rows after
+    them are formatted; otherwise every row is. The bytes written are the
+    same either way.
+    """
+    m, head = 0, None
+    if earlier is not None:
+        path_before, before = earlier
+        # the int64 views compare bits, and array_equal also compares shapes
+        if (emb.cell_ids[:before.n] == before.cell_ids
+                and np.array_equal(emb.values[:before.n].view(np.int64),
+                                   before.values.view(np.int64))):
+            m, head = before.n, path_before
+    save_embedding_rows(path, emb.cell_ids[m:], emb.d,
+                        lambda lo, hi: emb.values[m + lo:m + hi], head)
 
 
-def save_embedding_rows(path, cell_ids, d: int, block):
+def save_embedding_rows(path, cell_ids, d: int, block, head=None):
     """Write an embedding file of ``cell_ids`` and ``d`` coordinates whose
     rows ``lo`` to ``hi`` are the float64 array ``block(lo, hi)``. Blocks of
     ``_ROW_CHUNK`` rows are asked for, one at a time, so a computed matrix,
-    such as a corrected one, is formatted without being held whole."""
+    such as a corrected one, is formatted without being held whole.
+
+    ``head``, when given, is an embedding file of ``d`` coordinates whose
+    bytes are copied in place of the header; ``cell_ids`` are the cells
+    after its lines."""
     def rows(lo, hi):
         for start in range(lo, hi, _ROW_CHUNK):
             chunk = block(start, min(start + _ROW_CHUNK, hi))
             yield from (map(repr, row.tolist()) for row in chunk)
             del chunk  # before the next chunk is computed
 
-    _write_rows(path, [f"z{j}" for j in range(d)], cell_ids, rows)
+    _write_rows(path, [f"z{j}" for j in range(d)], cell_ids, rows, head)
 
 
 def _check_names(path, names):

@@ -496,10 +496,14 @@ def _lloyd(values, sq, centers, buf):
             if mask.any():
                 new_centers[c] = values[mask].mean(axis=0)
             else:
-                # re-seed an empty cluster at the worst-fit point
+                # re-seed an empty cluster at the worst-fit point, unless that
+                # point sits on a center: a duplicate center would trade cells
+                # with its twin every iteration, so the center stays put
                 if min_d2 is None:
                     min_d2 = _center_d2(values, centers, labels, buf)
-                new_centers[c] = values[int(np.argmax(min_d2))]
+                worst = int(np.argmax(min_d2))
+                if min_d2[worst] > 0.0:
+                    new_centers[c] = values[worst]
         shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
         centers = new_centers
         if shift < _LLOYD_TOL:

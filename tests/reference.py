@@ -347,7 +347,7 @@ def reference_kmeans(values, k, seed, restarts=10, max_iter=300, tol=1e-6):
                 mask = labels == c
                 if mask.any():
                     new_centers[c] = values[mask].mean(axis=0)
-                else:
+                elif min_d2.max() > 0.0:  # else every cell sits on a center: keep it
                     new_centers[c] = values[int(np.argmax(min_d2))]
             shift = float(np.max(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))))
             centers = new_centers

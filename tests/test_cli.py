@@ -228,6 +228,42 @@ def test_scenario_cli_continual(synth_dir, tmp_path):
     assert np.array_equal(s1.values[rows], s0.values)
 
 
+@pytest.mark.parametrize("mode, stages, copied", [
+    ("continual", [["batch0"], ["batch1"], ["batch2"]], [False, True, True]),
+    # batch0's cells come first in the metadata, so no stage starts with the last one's
+    ("continual", [["batch2"], ["batch0"], ["batch1"]], [False, False, False]),
+    ("cumulative", [["batch0"], ["batch1"], ["batch2"]], [False, False, False]),
+], ids=["continual-in-order", "continual-out-of-order", "cumulative"])
+def test_scenario_stage_files_are_their_matrices_written_whole(synth_dir, tmp_path, monkeypatch,
+                                                               mode, stages, copied):
+    results, heads = [], []
+
+    def recording_scenario(*args, scenario=cli.run_scenario, **kwargs):
+        results.extend(scenario(*args, **kwargs))
+        return results
+
+    def recording_rows(*args, write=fio.save_embedding_rows):
+        heads.append(args[4])
+        write(*args)
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"mode": mode, "stages": stages}))
+    out = tmp_path / "scen"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_scenario", recording_scenario)
+        patch.setattr(fio, "save_embedding_rows", recording_rows)
+        patch.setattr(fio, "_MIN_RANGE_BYTES", 1)  # a range per CPU, one on one CPU
+        assert run(["scenario", "--plan", str(plan),
+                    "--embeddings", str(synth_dir / "embeddings.csv"),
+                    "--metadata", str(synth_dir / "metadata.csv"),
+                    "--out", str(out), "--rounds", "2", "--knn-k", "8"]) == 0
+    assert [head is not None for head in heads] == copied
+    for stage in results:
+        fio.save_embeddings(tmp_path / "whole.csv", stage.corrected)
+        got = out / f"stage{stage.stage_index}" / "corrected_embeddings.csv"
+        assert got.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_scenario_cli_cumulative_over_features(tmp_path):
     # raw features: synthetic embedding file reused as a feature matrix
     data = tmp_path / "data"

@@ -85,6 +85,40 @@ def test_matrix_csv_in_ranges_is_the_one_range_csv(emb, count):
         assert sorted(os.listdir(tmp)) == ["one.csv", "split.csv"]
 
 
+# how the earlier matrix differs from the first cells of the one written:
+# only "same" lets the writer copy the earlier file
+PREFIX_CHANGES = ("same", "sign of zero", "id", "d", "order")
+
+
+@PROPERTY_SETTINGS
+@given(matrices(rows=st.integers(2, 12)), st.sampled_from(PREFIX_CHANGES),
+       st.integers(1, 3), st.data())
+def test_matrix_csv_after_an_earlier_file_is_the_whole_csv(emb, change, count, data):
+    m = data.draw(st.integers(2 if change == "order" else 1, emb.n) | st.just(emb.n), label="m")
+    ids, values = emb.cell_ids, emb.values.copy()
+    before_ids, before = ids[:m], values[:m].copy()
+    if change == "sign of zero":
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, emb.d - 1))
+        values[i, j], before[i, j] = data.draw(st.permutations([0.0, -0.0]))
+    elif change == "id":
+        i = data.draw(st.integers(0, m - 1))
+        before_ids = before_ids[:i] + ("x" * 7,) + before_ids[i + 1:]  # drawn ids have 6 at most
+    elif change == "d":
+        before = np.hstack([before, before[:, :1]])
+    elif change == "order":
+        before_ids, before = before_ids[::-1], before[::-1]
+    emb, before = EmbeddingMatrix(ids, values), EmbeddingMatrix(before_ids, before)
+    with tempfile.TemporaryDirectory() as tmp, ranges(count):
+        whole, earlier, after = (Path(tmp, name) for name in ("whole", "earlier", "after"))
+        fio.save_embeddings(whole, emb)
+        fio.save_embeddings(earlier, before)
+        with mock.patch.object(fio, "_write_rows", wraps=fio._write_rows) as write_rows:
+            fio.save_embeddings(after, emb, earlier=(earlier, before))
+        assert after.read_bytes() == whole.read_bytes()
+        formatted = len(write_rows.call_args.args[2])
+        assert formatted == (emb.n - m if change == "same" else emb.n)
+
+
 @st.composite
 def adapters(draw):
     gamma = draw(tables(cols=st.integers(1, 3)))

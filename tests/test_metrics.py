@@ -180,6 +180,19 @@ def test_kmeans_matches_the_per_center_reference(values, k):
     assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_lloyd_stops_when_clusters_empty_on_duplicate_points(monkeypatch, seed):
+    # 3 distinct points and 5 centers: an empty cluster whose worst-fit point
+    # already sits on a center keeps its center instead of taking a twin's
+    # cells every iteration, so no restart runs to the iteration cap
+    calls = []
+    nearest = metrics._nearest_center
+    monkeypatch.setattr(metrics, "_nearest_center", lambda *a: calls.append(1) or nearest(*a))
+    labels, _ = kmeans(duplicate_points(seed), 5, seed=3, restarts=10)
+    assert len(calls) <= 10 * 5  # each restart's iterations and its last assignment
+    assert len(set(labels.tolist())) == 3
+
+
 @pytest.mark.parametrize("call, cause", [
     (lambda v, emb, meta: kmeans(v, 3, seed=0, restarts=0), "restarts = 0"),
     (lambda v, emb, meta: kmeans(np.where(v > 1.0, np.nan, v), 3, seed=0), "finite"),
