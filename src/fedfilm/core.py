@@ -332,11 +332,7 @@ class FilmAdapter:
 
 def identity_adapter(batch_names, d: int) -> FilmAdapter:
     """Identity transform: gamma all ones, beta all zeros, nothing frozen."""
-    names = tuple(str(b) for b in batch_names)
-    if not names:
-        raise ValidationError("need at least one batch name")
-    if len(set(names)) != len(names):
-        raise ValidationError("batch names contain duplicates")
+    names = tuple(batch_names)
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
     return FilmAdapter(names, np.ones((len(names), d)), np.zeros((len(names), d)))

@@ -99,34 +99,28 @@ def aggregate(client_rows, mode: str, base: FilmAdapter) -> FilmAdapter:
     return FilmAdapter(base.batch_names, new[0], new[1], base.frozen)
 
 
-def pooled_targets(cell_blocks, reference=None) -> dict:
-    """Per-client reconstruction targets on the federation's pooled moments.
-
-    Each client reports only its cell count and per-coordinate mean and
-    variance. The server pools them into the cell-weighted grand mean ``m``
-    and the pooled within-batch variance ``v`` and returns, per batch name,
-    the affine map ``(scale, shift)`` that takes the batch's own moments onto
-    ``(m, v)``. Given a non-empty ``reference`` (batch name -> cells), the
-    server pools only the reference's moments. A coordinate that is constant
-    within a batch keeps scale 1.
-    """
-    stats = {b: _moments(cells) for b, cells in cell_blocks.items()}
-    pool = {b: _moments(cells) for b, cells in reference.items()} if reference else stats
-    return _targets_on_pool(stats, pool)
-
-
-def _moments(cells) -> tuple:
+def client_moments(cells) -> tuple:
     """What a client reports: its cell count, per-coordinate mean and variance."""
     return len(cells), cells.mean(axis=0), cells.var(axis=0)
 
 
-def _targets_on_pool(stats, pool) -> dict:
-    """``pooled_targets`` from the clients' ``_moments`` and the pool's."""
+def pooled_targets(reports, reference=None) -> dict:
+    """Per-client reconstruction targets on the federation's pooled moments.
+
+    ``reports`` maps each batch name to its client's ``client_moments``. The
+    server pools them into the cell-weighted grand mean ``m`` and the pooled
+    within-batch variance ``v`` and returns, per batch name, the affine map
+    ``(scale, shift)`` that takes the batch's own moments onto ``(m, v)``.
+    Given a non-empty ``reference`` (batch name -> ``client_moments``), the
+    server pools only the reference's reports. A coordinate that is constant
+    within a batch keeps scale 1.
+    """
+    pool = reference or reports
     total = sum(n for n, _, _ in pool.values())
     mean = sum(n * m for n, m, _ in pool.values()) / total
     var = sum(n * v for n, _, v in pool.values()) / total
     targets = {}
-    for b, (_, m, v) in stats.items():
+    for b, (_, m, v) in reports.items():
         ratio = np.divide(var, v, out=np.ones_like(v), where=v > 0)
         scale = np.sqrt(ratio)
         targets[b] = (scale, mean - scale * m)
@@ -166,11 +160,11 @@ def run_federated_fit(emb: EmbeddingMatrix, meta: CellMetadata, cfg: TrainConfig
     ]
     if cfg.target == "pooled":
         # one batch's cells gathered at a time, each released once its moments are in
-        stats = {b: _moments(emb.values[blocks[b]]) for b in participating}
+        reports = {b: client_moments(emb.values[blocks[b]]) for b in participating}
         # frozen batches at apply_adapter's expression: their corrected cells, bit for bit
-        reference = {b: _moments(init.gamma[r] * emb.values[blocks[b]] + init.beta[r])
+        reference = {b: client_moments(init.gamma[r] * emb.values[blocks[b]] + init.beta[r])
                      for b, r in rows.items() if init.frozen[r]}
-        targets = _targets_on_pool(stats, reference or stats)
+        targets = pooled_targets(reports, reference)
         for state in clients:
             state.target = targets[state.batch_name]
 
@@ -250,8 +244,15 @@ def run_scenario(plan: ScenarioPlan, data: EmbeddingMatrix, meta: CellMetadata,
     batches), then correct every cell seen so far; earlier batches' rows are
     frozen, so their corrected coordinates repeat bit-exactly.
 
-    Stage metrics use the scenario-safe metric subset.
+    Stage metrics use the scenario-safe metric subset. ``meta`` is joined to
+    ``data`` as ``io.load_embeddings`` joins them: every cell of ``data``
+    needs metadata, and metadata for other cells is dropped.
     """
+    if meta.cell_ids != data.cell_ids:  # else they are joined already, as on the CLI
+        rows = meta.rows_for(data.cell_ids)  # raises for a cell of data without metadata
+        if len(rows) < len(meta.cell_ids):
+            meta = meta.restricted_to(items_at(meta.cell_ids, np.sort(rows)))
+        del rows  # not held through the stages
     known = set(meta.batch_names)
     for group in plan.stages:
         for b in group:

@@ -49,6 +49,10 @@ def test_identity_adapter_tables():
     assert b.gamma.tolist() == [[1.0]] and b.beta.tolist() == [[0.0]]
     with pytest.raises(ValidationError):
         identity_adapter(["A", "A"], 2)
+    with pytest.raises(ValidationError, match="at least one batch"):
+        identity_adapter([], 2)
+    with pytest.raises(ValidationError, match="dimension must be >= 1, got 0"):
+        identity_adapter(["A"], 0)
 
 
 def test_apply_matches_elementwise_oracle():

@@ -16,7 +16,7 @@ from fedfilm import (
     run_scenario,
 )
 from fedfilm.core import DimensionError, MissingBatchError, ValidationError, batch_row_indices, FilmAdapter
-from fedfilm.federation import AGGREGATION_MODES, TrainingAbort, pooled_targets
+from fedfilm.federation import AGGREGATION_MODES, TrainingAbort, client_moments, pooled_targets
 
 from reference import closed_form_minimizer, full_table_fold, row_tables
 
@@ -255,7 +255,7 @@ def test_pooled_targets_map_batches_onto_pooled_moments():
     emb, meta, _ = synthetic_instance(cells_per_batch=(30, 50, 70))
     blocks = batch_row_indices(emb, meta)
     cells = {b: emb.values[blocks[b]] for b in meta.batch_names}
-    targets = pooled_targets(cells)
+    targets = pooled_targets({b: client_moments(c) for b, c in cells.items()})
     grand_mean = emb.values.mean(axis=0)
     pooled_var = sum(len(c) * c.var(axis=0) for c in cells.values()) / emb.n
     for b, c in cells.items():
@@ -268,12 +268,13 @@ def test_pooled_targets_map_batches_onto_pooled_moments():
 def test_pooled_targets_edge_cases():
     rng = np.random.default_rng(8)
     single = rng.standard_normal((9, 3)) + 2.0
-    scale, shift = pooled_targets({"a": single})["a"]
+    scale, shift = pooled_targets({"a": client_moments(single)})["a"]
     assert np.allclose(scale, 1.0, rtol=0, atol=1e-12)
     assert np.allclose(shift, 0.0, rtol=0, atol=1e-12)
     # a coordinate that is constant within a batch keeps scale 1
     flat = np.column_stack([rng.standard_normal(6), np.full(6, 3.0)])
-    targets = pooled_targets({"a": flat, "b": rng.standard_normal((6, 2))})
+    targets = pooled_targets({"a": client_moments(flat),
+                              "b": client_moments(rng.standard_normal((6, 2)))})
     assert targets["a"][0][1] == 1.0
     assert np.all(np.isfinite(targets["a"][1]))
 
@@ -283,7 +284,8 @@ def test_pooled_targets_map_clients_onto_the_reference_alone():
     blocks = batch_row_indices(emb, meta)
     cells = {b: emb.values[blocks[b]] for b in meta.batch_names}
     reference = {b: 1.5 * cells[b] + 2.0 for b in meta.batch_names[:2]}
-    targets = pooled_targets({meta.batch_names[2]: cells[meta.batch_names[2]]}, reference)
+    targets = pooled_targets({meta.batch_names[2]: client_moments(cells[meta.batch_names[2]])},
+                             {b: client_moments(c) for b, c in reference.items()})
     assert list(targets) == [meta.batch_names[2]]
     pooled = np.vstack(list(reference.values()))
     pooled_var = sum(len(c) * c.var(axis=0) for c in reference.values()) / len(pooled)
@@ -470,6 +472,61 @@ def test_scenario_unknown_batch_rejected():
     plan = ScenarioPlan(mode="continual", stages=(("nope",),))
     with pytest.raises(ValidationError, match="unknown batch"):
         run_scenario(plan, emb, meta, TrainConfig(rounds=1))
+
+
+def superset_metadata_instance():
+    """A matrix of two thirds of batches 0-2's cells, in reverse order, and
+    metadata for all the cells of batches 0-3."""
+    emb, meta, _ = synthetic_instance(n_batches=4, cells_per_batch=30, seed=27)
+    last = meta.batch_names[3]
+    kept = [c for i, c in enumerate(meta.cell_ids) if i % 3 and meta.batch_of[c] != last]
+    return emb.subset(kept[::-1]), meta
+
+
+def assert_same_stages(results, expected):
+    assert len(results) == len(expected)
+    for got, want in zip(results, expected):
+        assert (got.stage_index, got.batch_names) == (want.stage_index, want.batch_names)
+        assert got.corrected.cell_ids == want.corrected.cell_ids
+        assert got.corrected.values.tobytes() == want.corrected.values.tobytes()
+        assert (got.adapter.batch_names, got.adapter.frozen) == (want.adapter.batch_names,
+                                                                 want.adapter.frozen)
+        assert got.adapter.gamma.tobytes() == want.adapter.gamma.tobytes()
+        assert got.adapter.beta.tobytes() == want.adapter.beta.tobytes()
+        assert got.log == want.log
+        assert got.report == want.report
+        assert got.baseline_report == want.baseline_report
+
+
+@pytest.mark.parametrize("mode", ["continual", "cumulative"])
+def test_scenario_joins_metadata_that_covers_more_cells(mode):
+    # as load_embeddings joins them: the metadata of cells outside the matrix
+    # is dropped and the metadata order kept, so the stages are those of the
+    # run on the restricted metadata, bit for bit
+    data, meta = superset_metadata_instance()
+    b = meta.batch_names
+    plan = ScenarioPlan(mode=mode, stages=((b[0],), (b[1], b[2])))
+    cfg = TrainConfig(seed=4, rounds=2, target="pooled")
+    kept = set(data.cell_ids)
+    restricted = meta.restricted_to([c for c in meta.cell_ids if c in kept])
+    assert_same_stages(run_scenario(plan, data, meta, cfg, knn_k=8),
+                       run_scenario(plan, data, restricted, cfg, knn_k=8))
+
+
+def test_scenario_rejects_a_matrix_cell_without_metadata():
+    emb, meta, _ = synthetic_instance(n_batches=2, cells_per_batch=30)
+    data = EmbeddingMatrix(emb.cell_ids + ("zz",), np.vstack([emb.values, np.zeros(emb.d)]))
+    plan = ScenarioPlan(mode="continual", stages=tuple((b,) for b in meta.batch_names))
+    with pytest.raises(ValidationError, match="cell 'zz' has no batch assignment"):
+        run_scenario(plan, data, meta, TrainConfig(rounds=1))
+
+
+def test_scenario_rejects_a_metadata_batch_without_matrix_cells():
+    data, meta = superset_metadata_instance()
+    plan = ScenarioPlan(mode="continual", stages=((meta.batch_names[0],), (meta.batch_names[3],)))
+    with pytest.raises(ValidationError,
+                       match=f"stage references unknown batch '{meta.batch_names[3]}'"):
+        run_scenario(plan, data, meta, TrainConfig(rounds=1))
 
 
 def test_scenario_five_stage_both_orders_complete():
