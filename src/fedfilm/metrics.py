@@ -21,7 +21,8 @@ from functools import cache
 
 import numpy as np
 
-from .core import CellMetadata, EmbeddingMatrix, ValidationError, encode_groups, usable_cpus
+from .core import (_ROW_CHUNK, CellMetadata, EmbeddingMatrix, ValidationError, encode_groups,
+                   usable_cpus)
 from .synth import principal_axes
 
 BIO_METRICS = ("kmeans_nmi", "kmeans_ari", "label_asw", "isolated_f1", "clisi_score")
@@ -140,6 +141,20 @@ def _openblas_controls() -> tuple:
     return tuple(controls)
 
 
+@cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, which hands the free pages of every malloc
+    heap back to the system, or None where the C library has none (macOS,
+    musl)."""
+    try:
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):  # no handle on this process's own symbols
+        return None
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 # process-wide, as the BLAS thread counts they stand for are
 _blas_lock = threading.Lock()
 _blas_holders = 0
@@ -159,7 +174,10 @@ def _in_lanes(items, work) -> list:
     counts are restored when the last of the nested or concurrent calls
     leaves: after a call on several threads an idle OpenBLAS worker
     busy-waits for about 0.14 s, so a lane beside it would share its core
-    with that spin.
+    with that spin. That last call also hands the free memory of every
+    malloc heap back to the system where the C library can (glibc): the
+    lanes' panels and scratch buffers are freed into the heap of the thread
+    that ran them, which would otherwise keep them resident.
     """
     # imported here, not with the module: it adds about 8 ms to every command's start
     from concurrent.futures import ThreadPoolExecutor
@@ -181,9 +199,12 @@ def _in_lanes(items, work) -> list:
     finally:
         with _blas_lock:
             _blas_holders -= 1
-            if not _blas_holders:
+            last = not _blas_holders
+            if last:
                 for (_, put), count in zip(controls, _blas_saved):
                     put(count)
+        if last and (trim := _malloc_trim()) is not None:
+            trim(0)
     results = [None] * len(items)
     for i, run in enumerate(runs):
         results[i::lanes] = run
@@ -343,6 +364,8 @@ def kmeans(values, k: int, seed: int, restarts: int = 10):
 
     Runs ``restarts`` seeded initializations and keeps the lowest-inertia
     solution. Deterministic given ``seed``. Returns ``(labels, inertia)``.
+    Each lane of restarts holds one scratch buffer of ``_ROW_CHUNK`` rows
+    (fewer for fewer cells) in which the exact distances are formed.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -359,7 +382,7 @@ def kmeans(values, k: int, seed: int, restarts: int = 10):
     sq = np.einsum("ij,ij->i", values, values)  # |x|^2, shared by every restart
 
     def restarts_in(lane, lanes):
-        buf = np.empty_like(values)  # the one (n, d) scratch buffer of this lane's restarts
+        buf = np.empty((min(_ROW_CHUNK, n), values.shape[1]))  # this lane's row-chunk scratch
         runs = []
         for r in lane:
             rng = np.random.default_rng([int(seed), _KMEANS_STREAM, r])
@@ -374,7 +397,8 @@ def kmeans(values, k: int, seed: int, restarts: int = 10):
 
 
 def _kmeans_pp(values, k, rng, buf):
-    """k-means++ seeding; ``buf`` is a ``values``-shaped scratch buffer.
+    """k-means++ seeding; ``buf`` is a row-chunk scratch buffer of
+    ``values``' width.
 
     Raises when the squared distances that weigh the draws overflow, since
     they give no probabilities then.
@@ -400,30 +424,42 @@ def _kmeans_pp(values, k, rng, buf):
     return centers
 
 
-def _sq_dist(values, center, buf):
-    """Each row's exact squared distance to ``center``, formed in ``buf`` (a
-    ``values``-shaped buffer) as one contiguous length-d sum per row: the
-    sum a broadcast (n, k, d) difference tensor reduces, so the bits do not
-    depend on how many centers are done at once."""
-    np.subtract(values, center, out=buf)
-    np.multiply(buf, buf, out=buf)
-    return np.sum(buf, axis=1)
+def _sq_dist(values, center, buf, out=None):
+    """Each row's exact squared distance to ``center``, written into ``out``
+    (a new length-n array when None) and returned.
+
+    The rows are formed ``len(buf)`` at a time in ``buf``, a scratch buffer
+    of ``values``' width, each as one contiguous length-d sum: the sum a
+    broadcast (n, k, d) difference tensor reduces, so the bits depend
+    neither on how many centers are done at once nor on the chunk size.
+    ``center`` is one row, or one row per row of ``values`` when ``buf``
+    holds them all.
+    """
+    n = len(values)
+    out = np.empty(n) if out is None else out
+    for lo in range(0, n, len(buf)):
+        hi = min(lo + len(buf), n)
+        part = buf[:hi - lo]
+        np.subtract(values[lo:hi], center, out=part)
+        np.multiply(part, part, out=part)
+        np.sum(part, axis=1, out=out[lo:hi])
+    return out
 
 
-def _exact_labels(values, centers, diff):
+def _exact_labels(values, centers, buf):
     """Nearest-center labels from the exact squared distances, one center at
-    a time into ``diff`` (a ``values``-shaped buffer); ties go to the first
-    center."""
+    a time through ``buf`` (a row-chunk scratch buffer); ties go to the
+    first center."""
     d2 = np.empty((len(centers), len(values)))
     for c, center in enumerate(centers):
-        d2[c] = _sq_dist(values, center, diff)
+        _sq_dist(values, center, buf, d2[c])
     return np.argmin(d2, axis=0)
 
 
-def _nearest_center(values, sq, centers, scratch):
+def _nearest_center(values, sq, centers, buf):
     """The labels ``_exact_labels`` gives, decided for most rows by one
-    matrix product; ``sq`` holds the rows' squared norms and ``scratch`` is
-    a ``values``-shaped buffer.
+    matrix product; ``sq`` holds the rows' squared norms and ``buf`` is a
+    row-chunk scratch buffer of ``values``' width.
 
     The product gives A = |x|^2 + |c|^2 - 2 x.c for every (row, center). With
     u = 2^-53, eta = 2^-1074 (the subnormal spacing), S = |x|^2 + |c|^2 and
@@ -464,17 +500,26 @@ def _nearest_center(values, sq, centers, scratch):
         delta = (16.0 * (d + 2)) * (2.0 ** -53 * np.maximum(sq, np.max(csq)) + 2.0 ** -1074)
         exact = ~(gap > 2.0 * delta) | ~finite | (len(centers) == 1)
     redo = np.flatnonzero(exact)
-    if len(redo):
-        labels[redo] = _exact_labels(values[redo], centers, scratch[:len(redo)])
+    # gathered a chunk at a time: every row takes this path when k = 1
+    for lo in range(0, len(redo), len(buf)):
+        rows = redo[lo:lo + len(buf)]
+        labels[rows] = _exact_labels(values[rows], centers, buf)
     return labels
 
 
 def _center_d2(values, centers, labels, buf):
     """Exact squared distance of each row to its labeled center: ``_sq_dist``
-    against the labeled centers, gathered row by row into ``buf``."""
-    # mode "clip" writes straight into buf; "raise" first gathers into a copy
-    np.take(centers, labels, axis=0, out=buf, mode="clip")
-    return _sq_dist(values, buf, buf)
+    against the labeled centers, gathered ``len(buf)`` rows at a time into
+    ``buf``, a row-chunk scratch buffer of ``values``' width."""
+    n = len(values)
+    out = np.empty(n)
+    for lo in range(0, n, len(buf)):
+        hi = min(lo + len(buf), n)
+        part = buf[:hi - lo]
+        # mode "clip" writes straight into part; "raise" first gathers into a copy
+        np.take(centers, labels[lo:hi], axis=0, out=part, mode="clip")
+        _sq_dist(values[lo:hi], part, part, out[lo:hi])
+    return out
 
 
 def _assign(values, sq, centers, buf):
@@ -616,14 +661,21 @@ def silhouette_batch_asw(values, batches, labels) -> float:
     label_order, labels = encode_groups(labels)
     if len(batch_order) < 2:
         raise ValidationError("batch silhouette needs at least two batches")
-    per_label = []
-    for lab in range(len(label_order)):
-        mask = labels == lab
-        sub_batches = batches[mask]
-        if np.all(sub_batches == sub_batches[0]):
-            continue
-        s = silhouette_samples(values[mask], sub_batches)
-        per_label.append(float(np.mean(1.0 - np.abs(s))))
+
+    def mixing(item, lanes):
+        scores = []
+        for lab in range(len(label_order)):
+            mask = labels == lab
+            sub_batches = batches[mask]
+            if np.all(sub_batches == sub_batches[0]):
+                continue
+            s = silhouette_samples(values[mask], sub_batches)
+            scores.append(float(np.mean(1.0 - np.abs(s))))
+        return [scores]
+
+    # one item, run on this thread: every label's sweep nests in this call,
+    # so the heaps are handed back once, after the last label
+    per_label = _in_lanes([None], mixing)[0]
     return float(np.mean(per_label)) if per_label else 1.0
 
 

@@ -1,4 +1,6 @@
+import ctypes
 import os
+import platform
 import sys
 import threading
 import tracemalloc
@@ -9,7 +11,7 @@ import pytest
 
 from fedfilm import (CellMetadata, EmbeddingMatrix, SynthSpec, aggregate_scores, evaluate,
                      generate, metrics)
-from fedfilm.core import ValidationError
+from fedfilm.core import _ROW_CHUNK, ValidationError
 from fedfilm.metrics import (
     MetricsReport,
     ari,
@@ -150,6 +152,11 @@ def duplicate_points(seed):
     return rng.standard_normal((3, 4))[rng.integers(0, 3, 60)]
 
 
+def chunked_cells():
+    # two whole row chunks and a 3-row remainder for the exact distances
+    return synth_values(6, 2 * _ROW_CHUNK + 4)[:2 * _ROW_CHUNK + 3]
+
+
 def huge_clouds(seed):
     # two clouds near 0.9e154 and 1.2e154: x.c overflows in the matrix product
     # while every exact squared distance stays finite
@@ -169,6 +176,7 @@ ORACLE_CASES = (
        for s in range(2) for k in (2, 3)]
     + [pytest.param(huge_clouds(s), 2, id=f"huge-seed{s}") for s in range(3)]
     + [pytest.param(synth_values(1, 2500), 1, id="synth-2.5k-k1")]
+    + [pytest.param(chunked_cells(), 8, id="chunked-2x4096+3")]
 )
 
 
@@ -178,6 +186,40 @@ def test_kmeans_matches_the_per_center_reference(values, k):
     got = kmeans(values, k, seed=3)
     assert np.array_equal(got[0], want[0])
     assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+def test_exact_distances_over_row_chunks_equal_the_whole_matrix_sums():
+    values = chunked_cells()
+    n, d = values.shape
+    rng = np.random.default_rng(16)
+    centers = rng.standard_normal((5, d))
+    labels = rng.integers(0, 5, n)
+    buf = np.empty((_ROW_CHUNK, d))
+    whole = np.sum((values - centers[2]) ** 2, axis=1)
+    assert np.array_equal(metrics._sq_dist(values, centers[2], buf).view(np.int64),
+                          whole.view(np.int64))
+    labeled = np.sum((values - centers[labels]) ** 2, axis=1)
+    assert np.array_equal(metrics._center_d2(values, centers, labels, buf).view(np.int64),
+                          labeled.view(np.int64))
+    every = np.stack([np.sum((values - center) ** 2, axis=1) for center in centers])
+    assert np.array_equal(metrics._exact_labels(values, centers, buf), np.argmin(every, axis=0))
+
+
+@pytest.mark.parametrize("k, times", [(4, 2.8), (1, 4.5)])
+def test_kmeans_lanes_hold_row_chunks_not_copies_of_the_matrix(monkeypatch, k, times):
+    # two lanes whatever the machine; each lane's scratch is 4096 of the
+    # 12,293 rows, where lanes holding an (n, d) copy each peaked at 3.5
+    # times the matrix's bytes, and at 5.3 when k = 1 sends every row down
+    # the exact path
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: 2)
+    values = np.random.default_rng(15).standard_normal((3 * _ROW_CHUNK + 5, 16))
+    tracemalloc.start()
+    try:
+        kmeans(values, k, seed=0, restarts=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= times * values.nbytes
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -1175,6 +1217,55 @@ def test_in_lanes_deals_the_items_in_turn_and_returns_them_in_order(monkeypatch,
     idents = [lane_of[tuple(items[i::lanes])][1] for i in range(lanes)]
     assert idents[0] == threading.get_ident()
     assert threading.get_ident() not in idents[1:]
+
+
+@pytest.mark.parametrize("held", [True, False])
+def test_in_lanes_releases_the_heaps_once_when_the_outermost_call_leaves(monkeypatch, held):
+    trims = []
+    monkeypatch.setattr(metrics, "_malloc_trim", lambda: trims.append)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if not held:
+        monkeypatch.setattr(metrics, "_openblas_controls", lambda: ())
+
+    def inner(lane, lanes):
+        return [len(trims) for _ in lane]
+
+    def outer(lane, lanes):
+        return [metrics._in_lanes([0, 1, 2], inner) for _ in lane]
+
+    assert metrics._in_lanes([0, 1], outer) == [[0, 0, 0]] * 2  # none inside
+    assert trims == [0]
+
+    def failing(lane, lanes):
+        metrics._in_lanes([0, 1], inner)
+        raise MemoryError("after a nested call")
+
+    with pytest.raises(MemoryError, match="after a nested call"):
+        metrics._in_lanes([0, 1], failing)
+    assert trims == [0, 0]
+    # the batch silhouette's per-label sweeps nest in one call of its own
+    rng = np.random.default_rng(17)
+    silhouette_batch_asw(rng.standard_normal((300, 3)), rng.integers(0, 2, 300),
+                         rng.integers(0, 3, 300))
+    assert trims == [0, 0, 0]
+
+
+@pytest.mark.parametrize("libc", ["without-malloc-trim", "no-handle"])
+def test_a_libc_without_malloc_trim_releases_nothing(monkeypatch, libc):
+    if platform.libc_ver()[0] == "glibc":
+        assert metrics._malloc_trim() is not None
+    metrics._openblas_controls()  # cached before ctypes.CDLL is replaced
+
+    def cdll(name):
+        if libc == "no-handle":
+            raise OSError("no handle on the program's own symbols")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    lookup = metrics._malloc_trim.__wrapped__
+    assert lookup() is None
+    monkeypatch.setattr(metrics, "_malloc_trim", lookup)
+    assert metrics._in_lanes([1, 2, 3], lambda lane, lanes: [-x for x in lane]) == [-1, -2, -3]
 
 
 def test_sweep_and_kmeans_on_more_threads_than_cpus_under_fast_switching(monkeypatch):
